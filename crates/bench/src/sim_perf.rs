@@ -3,9 +3,9 @@
 //! Runs every CPU benchmark domain twice through [`SimRequest`] — once on
 //! the sequential `Direct` reference engine, once on the memoized parallel
 //! `Replay` engine — and reports, per domain, the best-of `simulate` span
-//! wall time of each engine, the `record`/`replay` phase split, the
-//! resulting speedup, and whether the two engines' `MeasurementSet`s are
-//! byte-identical. Timing comes from the span collector rather than ad-hoc
+//! wall time of each engine, the replay engine's `replay` span (each
+//! point's build + record + replay), the resulting speedup, and whether
+//! the two engines' `MeasurementSet`s are byte-identical. Timing comes from the span collector rather than ad-hoc
 //! clocks, so the snapshot measures exactly what traces attribute.
 //!
 //! A second section sweeps the replacement-policy × prefetch matrix
@@ -45,12 +45,11 @@ fn config(scale: Scale) -> RunnerConfig {
 const DOMAINS: [Domain; 5] =
     [Domain::CpuFlops, Domain::Branch, Domain::Dcache, Domain::Dtlb, Domain::Dstore];
 
-/// One engine run: the measurements plus the summed `simulate`, `record`,
-/// and `replay` span durations from its trace.
+/// One engine run: the measurements plus the summed `simulate` and
+/// `replay` span durations from its trace.
 struct EngineRun {
     ms: MeasurementSet,
     simulate_ns: u64,
-    record_ns: u64,
     replay_ns: u64,
 }
 
@@ -70,12 +69,11 @@ fn run_engine(
         .run()
         // lint: allow(panic): domain and events are supplied above, so the request is valid
         .expect("valid request");
-    let mut run = EngineRun { ms, simulate_ns: 0, record_ns: 0, replay_ns: 0 };
+    let mut run = EngineRun { ms, simulate_ns: 0, replay_ns: 0 };
     for s in trace.span_records() {
         let d = s.duration_ns.unwrap_or(0);
         match s.name.as_str() {
             "simulate" => run.simulate_ns += d,
-            "record" => run.record_ns += d,
             "replay" => run.replay_ns += d,
             _ => {}
         }
@@ -141,12 +139,10 @@ pub fn sim_snapshot(scale: Scale) -> String {
         let speedup = direct.simulate_ns as f64 / replay.simulate_ns.max(1) as f64;
         rows.push(format!(
             "{{\"domain\":\"{}\",\"direct_ns\":{},\"replay_ns\":{},\
-             \"record_phase_ns\":{},\"replay_phase_ns\":{},\
-             \"speedup\":{speedup:.3},\"bit_identical\":{identical}}}",
+             \"replay_phase_ns\":{},\"speedup\":{speedup:.3},\"bit_identical\":{identical}}}",
             domain.label(),
             direct.simulate_ns,
             replay.simulate_ns,
-            replay.record_ns,
             replay.replay_ns,
         ));
     }
@@ -198,9 +194,11 @@ mod tests {
             assert!(row["replay_ns"].as_u64().unwrap() > 0);
             assert!(row["speedup"].as_f64().unwrap() > 0.0);
         }
-        // The replay engine's phase split is attributed on the hot domain.
+        // The replay engine's sweep time is attributed on the hot domain;
+        // recording happens inside each point's replay task, so it has no
+        // phase of its own.
         let dcache = rows.iter().find(|r| r["domain"].as_str() == Some("dcache")).unwrap();
-        assert!(dcache["record_phase_ns"].as_u64().unwrap() > 0);
+        assert!(dcache.get("record_phase_ns").is_none());
         assert!(dcache["replay_phase_ns"].as_u64().unwrap() > 0);
         // Every robustness-sweep configuration takes the fast path and
         // keeps the engines byte-identical.

@@ -17,14 +17,15 @@
 //! The preferred entry point is [`crate::SimRequest`]; the `measure_*`
 //! functions here are the canonical per-domain runners it dispatches to.
 //! Each CPU domain runs on one of two engines ([`SimEngine`]): the default
-//! `Replay` engine records every sweep point's kernel once as a
-//! [`KernelTrace`] and replays the memoized trace, parallelizing the
-//! record/replay sweeps and the per-repetition counter reads; the `Direct`
-//! engine executes every dynamic instruction sequentially and is kept as
-//! the reference path for parity tests and the `BENCH_sim` speedup gate.
-//! Both produce bit-identical [`MeasurementSet`]s — the noise streams are
-//! keyed by `(event, repetition, point, group)`, never by wall-clock or
-//! thread identity.
+//! `Replay` engine runs every sweep point as one parallel task that builds
+//! the point's program, records it once as a [`KernelTrace`] and replays
+//! the trace (warmup and measurement phases alike), and it also
+//! parallelizes the per-repetition counter reads; the `Direct` engine
+//! executes every dynamic instruction sequentially and is kept as the
+//! reference path for parity tests and the `BENCH_sim` speedup gate. Both
+//! produce bit-identical [`MeasurementSet`]s — the noise streams are keyed
+//! by `(event, repetition, point, group)`, never by wall-clock or thread
+//! identity.
 
 use crate::data::MeasurementSet;
 use crate::request::SimEngine;
@@ -111,27 +112,24 @@ fn record_runner_counters(obs: &dyn Observer, points: usize, events: usize, repe
 /// Publishes which engine actually served a CPU runner, plus the stream
 /// engine's memo counters summed over the sweep's cores.
 ///
-/// `runner.engine` encodes `0` = `Direct` reference execution, `1` =
-/// `Replay` taking the stream fast path, `2` = `Replay` falling back to
-/// the reference per-access loop (the hierarchy failed
-/// `fast_path_eligible`, e.g. pseudo-LRU wider than 32 ways).
+/// Exactly one labelled counter is bumped by 1 per run, so summed traces
+/// count runs per engine: `runner.engine.direct` for `Direct` reference
+/// execution, `runner.engine.replay` for `Replay` taking the stream fast
+/// path, `runner.engine.fallback` for `Replay` falling back to the
+/// reference per-access loop (the hierarchy failed `fast_path_eligible`,
+/// e.g. pseudo-LRU wider than 32 ways).
 fn record_engine_counters(
     obs: &dyn Observer,
     core: &CoreConfig,
     engine: SimEngine,
     stream: StreamStats,
 ) {
-    let code = match engine {
-        SimEngine::Direct => 0,
-        SimEngine::Replay => {
-            if core.hierarchy.fast_path_eligible().is_ok() {
-                1
-            } else {
-                2
-            }
-        }
+    let name = match engine {
+        SimEngine::Direct => "runner.engine.direct",
+        SimEngine::Replay if core.hierarchy.fast_path_eligible().is_ok() => "runner.engine.replay",
+        SimEngine::Replay => "runner.engine.fallback",
     };
-    obs.counter("runner.engine", code);
+    obs.counter(name, 1);
     obs.counter("stream.memo_hits", stream.memo_hits);
     obs.counter("stream.memo_misses", stream.memo_misses);
     obs.counter("stream.passes_collapsed", stream.passes_collapsed);
@@ -171,11 +169,49 @@ fn read_all_cpu(
         .collect()
 }
 
-/// Simulates one program per sweep point on the selected engine.
+/// Runs `simulate_point` for every point of a sweep on the selected engine,
+/// returning per-point stats in point order and the stream counters summed
+/// in point order.
 ///
-/// `Replay` records each point's kernel under a `record` span and replays
-/// the traces under a `replay` span, both point-parallel. `Direct` executes
-/// every point sequentially with no child spans.
+/// `Replay` makes each point one task under a single `replay` span, handed
+/// out dynamically across the worker pool: a task builds, records and
+/// replays its point and drops the trace when it ends, so at most one
+/// trace per worker is live. `Direct` executes every point sequentially
+/// with no child spans.
+fn simulate_points<F>(
+    n_points: usize,
+    obs: &dyn Observer,
+    engine: SimEngine,
+    simulate_point: F,
+) -> (Vec<ExecStats>, StreamStats)
+where
+    F: Fn(usize) -> Cpu + Sync,
+{
+    let points: Vec<usize> = (0..n_points).collect();
+    let run = |&p: &usize| {
+        let cpu = simulate_point(p);
+        (cpu.stats(), cpu.stream_stats())
+    };
+    let cpus: Vec<(ExecStats, StreamStats)> = match engine {
+        SimEngine::Direct => points.iter().map(run).collect(),
+        SimEngine::Replay => {
+            let _s = Span::enter(obs, "replay");
+            points.par_iter().map(run).collect()
+        }
+    };
+    let mut stream = StreamStats::default();
+    let stats = cpus
+        .into_iter()
+        .map(|(s, per_cpu)| {
+            stream.merge(per_cpu);
+            s
+        })
+        .collect();
+    (stats, stream)
+}
+
+/// Simulates one program per sweep point on a fresh core: `Direct` runs
+/// it, `Replay` records and replays it (see [`simulate_points`]).
 fn simulate_sweep<F>(
     core: CoreConfig,
     n_points: usize,
@@ -186,51 +222,15 @@ fn simulate_sweep<F>(
 where
     F: Fn(usize) -> Program + Sync,
 {
-    let points: Vec<usize> = (0..n_points).collect();
-    match engine {
-        SimEngine::Direct => (
-            points
-                .iter()
-                .map(|&p| {
-                    let mut cpu = Cpu::new(core);
-                    cpu.run(&program_of(p));
-                    cpu.stats()
-                })
-                .collect(),
-            StreamStats::default(),
-        ),
-        SimEngine::Replay => {
-            let traces: Vec<KernelTrace> = {
-                let _s = Span::enter(obs, "record");
-                points.par_iter().map(|&p| KernelTrace::record(&program_of(p))).collect()
-            };
-            let _s = Span::enter(obs, "replay");
-            let results: Vec<(ExecStats, StreamStats)> = traces
-                .par_iter()
-                .map(|t| {
-                    let mut cpu = Cpu::new(core);
-                    cpu.replay(t);
-                    (cpu.stats(), cpu.stream_stats())
-                })
-                .collect();
-            fold_stream_stats(results)
+    simulate_points(n_points, obs, engine, |p| {
+        let mut cpu = Cpu::new(core);
+        let program = program_of(p);
+        match engine {
+            SimEngine::Direct => cpu.run(&program),
+            SimEngine::Replay => cpu.replay(&KernelTrace::record(&program)),
         }
-    }
-}
-
-/// Splits per-core (stats, stream-counter) pairs, summing the counters in
-/// input order — a deterministic sequential fold over the already-collected
-/// parallel results.
-fn fold_stream_stats(results: Vec<(ExecStats, StreamStats)>) -> (Vec<ExecStats>, StreamStats) {
-    let mut stream = StreamStats::default();
-    let stats = results
-        .into_iter()
-        .map(|(s, per_cpu)| {
-            stream.merge(per_cpu);
-            s
-        })
-        .collect();
-    (stats, stream)
+        cpu
+    })
 }
 
 /// Simulates a warmup-then-measure sweep (the memory-chase domains) on the
@@ -239,7 +239,7 @@ fn fold_stream_stats(results: Vec<(ExecStats, StreamStats)>) -> (Vec<ExecStats>,
 /// The warmup and measurement programs of a chase point differ only in the
 /// top-level pass count, so `Replay` records the measurement program once
 /// per point and drives both phases from the same trace via
-/// `Cpu::replay_passes`.
+/// `Cpu::replay_passes`, all inside the point's task.
 fn simulate_chase_sweep<F>(
     core: CoreConfig,
     n_points: usize,
@@ -252,48 +252,28 @@ fn simulate_chase_sweep<F>(
 where
     F: Fn(usize, u64) -> Program + Sync,
 {
-    let points: Vec<usize> = (0..n_points).collect();
-    match engine {
-        SimEngine::Direct => (
-            points
-                .iter()
-                .map(|&p| {
-                    let mut cpu = Cpu::new(core);
-                    cpu.run(&program_of(p, warmup_passes));
-                    cpu.reset_stats();
-                    cpu.run(&program_of(p, measure_passes));
-                    cpu.stats()
-                })
-                .collect(),
-            StreamStats::default(),
-        ),
-        SimEngine::Replay => {
-            let traces: Vec<KernelTrace> = {
-                let _s = Span::enter(obs, "record");
-                points
-                    .par_iter()
-                    .map(|&p| KernelTrace::record(&program_of(p, measure_passes)))
-                    .collect()
-            };
-            let _s = Span::enter(obs, "replay");
-            let results: Vec<(ExecStats, StreamStats)> = traces
-                .par_iter()
-                .map(|t| {
-                    let mut cpu = Cpu::new(core);
-                    cpu.replay_passes(t, warmup_passes);
-                    cpu.reset_stats();
-                    cpu.replay_passes(t, measure_passes);
-                    (cpu.stats(), cpu.stream_stats())
-                })
-                .collect();
-            fold_stream_stats(results)
+    simulate_points(n_points, obs, engine, |p| {
+        let mut cpu = Cpu::new(core);
+        match engine {
+            SimEngine::Direct => {
+                cpu.run(&program_of(p, warmup_passes));
+                cpu.reset_stats();
+                cpu.run(&program_of(p, measure_passes));
+            }
+            SimEngine::Replay => {
+                let trace = KernelTrace::record(&program_of(p, measure_passes));
+                cpu.replay_passes(&trace, warmup_passes);
+                cpu.reset_stats();
+                cpu.replay_passes(&trace, measure_passes);
+            }
         }
-    }
+        cpu
+    })
 }
 
-/// Measures the CPU-FLOPs domain: spans around the simulation (with
-/// `record`/`replay` children on the default engine) and counter-read
-/// phases, sweep-shape counters on `obs`.
+/// Measures the CPU-FLOPs domain: spans around the simulation (with a
+/// `replay` child on the default engine) and counter-read phases,
+/// sweep-shape counters on `obs`.
 // lint: contract(deterministic)
 pub fn measure_cpu_flops(
     set: &CpuEventSet,
@@ -384,9 +364,9 @@ pub(crate) fn branch_with_engine(
 
 /// Measures the data-cache domain with per-thread medians (the default).
 ///
-/// Span tree: `run/dcache` → `simulate` → one `thread=N` child per chasing
-/// thread (each with `record`/`replay` children on the default engine),
-/// then `read-counters` and `median`.
+/// Span tree: `run/dcache` → `simulate` (with one `replay` child on the
+/// default engine, covering every thread's points), then `read-counters`
+/// and `median`.
 // lint: contract(deterministic)
 pub fn measure_dcache(set: &CpuEventSet, cfg: &RunnerConfig, obs: &dyn Observer) -> MeasurementSet {
     dcache_with_engine(set, cfg, obs, SimEngine::default())
@@ -429,30 +409,9 @@ pub(crate) fn dcache_threads_with_engine(
 ) -> Vec<MeasurementSet> {
     let h = cfg.core.hierarchy;
     let configs = dcache::sweep(&h);
-    // Each thread chases its own permutation over a disjoint buffer.
-    let mut stream = StreamStats::default();
-    let all_stats: Vec<Vec<ExecStats>> = {
+    let (all_stats, stream) = {
         let _s = Span::enter(obs, "simulate");
-        (0..cfg.dcache_threads)
-            .map(|thread| {
-                let _t = Span::enter(obs, &format!("thread={thread}"));
-                let base = (thread as u64 + 1) << 40;
-                let (stats, per_thread) = simulate_chase_sweep(
-                    cfg.core,
-                    configs.len(),
-                    |p, passes| {
-                        let seed = (thread as u64) * 7919 + p as u64;
-                        configs[p].program(base, seed, passes)
-                    },
-                    dcache::WARMUP_PASSES,
-                    dcache::MEASURE_PASSES,
-                    obs,
-                    engine,
-                );
-                stream.merge(per_thread);
-                stats
-            })
-            .collect()
+        dcache_sweep(cfg, &configs, obs, engine)
     };
     record_engine_counters(obs, &cfg.core, engine, stream);
     let norms: Vec<f64> =
@@ -469,6 +428,36 @@ pub(crate) fn dcache_threads_with_engine(
             runs: read_all_cpu(set, &pmu, stats, &norms, cfg.repetitions, thread * 31_000_000),
         })
         .collect()
+}
+
+/// Simulates every chasing thread's sweep as one flattened sweep of
+/// `threads × points` chase points (point `i` is thread `i / points`,
+/// sweep point `i % points`), so the largest points of all threads share
+/// one work queue. Each thread chases its own permutation over a disjoint
+/// buffer. Returns the stats split back per thread.
+fn dcache_sweep(
+    cfg: &RunnerConfig,
+    configs: &[dcache::ChaseConfig],
+    obs: &dyn Observer,
+    engine: SimEngine,
+) -> (Vec<Vec<ExecStats>>, StreamStats) {
+    let n = configs.len();
+    let (stats, stream) = simulate_chase_sweep(
+        cfg.core,
+        cfg.dcache_threads * n,
+        |i, passes| {
+            let (thread, p) = (i / n, i % n);
+            let base = (thread as u64 + 1) << 40;
+            let seed = (thread as u64) * 7919 + p as u64;
+            configs[p].program(base, seed, passes)
+        },
+        dcache::WARMUP_PASSES,
+        dcache::MEASURE_PASSES,
+        obs,
+        engine,
+    );
+    let mut stats = stats.into_iter();
+    ((0..cfg.dcache_threads).map(|_| stats.by_ref().take(n).collect()).collect(), stream)
 }
 
 /// Element-wise median across per-thread measurement sets.
@@ -816,13 +805,15 @@ mod tests {
         let trace = TraceCollector::new();
         let ms = measure_branch(&set, &cfg, &trace);
         ms.validate().unwrap();
-        // Root + simulate (+ record/replay children) + read-counters spans.
-        assert_eq!(trace.span_count(), 5);
+        // Root + simulate (+ one replay child) + read-counters spans.
+        assert_eq!(trace.span_count(), 4);
         assert_eq!(trace.counter_value("runner.points"), Some(11));
         assert_eq!(trace.counter_value("runner.repetitions"), Some(3));
         assert!(trace.counter_value("runner.events").unwrap() > 0);
-        // Default engine is Replay with an eligible hierarchy (= 1).
-        assert_eq!(trace.counter_value("runner.engine"), Some(1));
+        // Default engine is Replay with an eligible hierarchy: one run.
+        assert_eq!(trace.counter_value("runner.engine.replay"), Some(1));
+        assert_eq!(trace.counter_value("runner.engine.direct"), None);
+        assert_eq!(trace.counter_value("runner.engine.fallback"), None);
         assert!(trace.counter_value("stream.memo_hits").is_some());
         assert!(trace.counter_value("stream.memo_misses").is_some());
         assert!(trace.counter_value("stream.passes_collapsed").is_some());
@@ -832,21 +823,21 @@ mod tests {
     }
 
     #[test]
-    fn traced_dcache_has_per_thread_spans() {
+    fn traced_dcache_has_one_flattened_replay_span() {
         use catalyze_obs::TraceCollector;
         let set = sapphire_rapids_like();
         let cfg = RunnerConfig::fast_test();
         let trace = TraceCollector::new();
         let ms = measure_dcache(&set, &cfg, &trace);
         ms.validate().unwrap();
-        // run/dcache + simulate + 2 x (thread=N + record + replay)
-        // + read-counters + median.
-        assert_eq!(trace.span_count(), 10);
+        // run/dcache + simulate + replay (both threads' points in one
+        // sweep) + read-counters + median.
+        assert_eq!(trace.span_count(), 5);
         assert_eq!(trace.counter_value("runner.dcache_threads"), Some(2));
         // The chase sweeps are long enough to exercise collapse and the
         // cross-call memo: every point's measure phase hits the fixed
         // point its warmup phase memoized.
-        assert_eq!(trace.counter_value("runner.engine"), Some(1));
+        assert_eq!(trace.counter_value("runner.engine.replay"), Some(1));
         assert!(trace.counter_value("stream.passes_collapsed").unwrap() > 0);
         assert!(trace.counter_value("stream.memo_hits").unwrap() > 0);
     }
@@ -863,6 +854,35 @@ mod tests {
         assert!(v[1] > 0.97);
         // Memory-sized points: near zero.
         assert!(v[7] < 0.05, "memory-resident L1 hit rate {}", v[7]);
+    }
+
+    #[test]
+    fn flattened_dcache_sweep_matches_nested_per_thread_runs() {
+        let mut cfg = RunnerConfig::fast_test();
+        cfg.dcache_threads = 3;
+        let configs = dcache::sweep(&cfg.core.hierarchy);
+        // The reference: one sweep per thread, nested, on the direct engine.
+        let nested: Vec<Vec<ExecStats>> = (0..cfg.dcache_threads)
+            .map(|t| {
+                let base = (t as u64 + 1) << 40;
+                configs
+                    .iter()
+                    .enumerate()
+                    .map(|(p, c)| {
+                        let seed = t as u64 * 7919 + p as u64;
+                        let mut cpu = Cpu::new(cfg.core);
+                        cpu.run(&c.program(base, seed, dcache::WARMUP_PASSES));
+                        cpu.reset_stats();
+                        cpu.run(&c.program(base, seed, dcache::MEASURE_PASSES));
+                        cpu.stats()
+                    })
+                    .collect()
+            })
+            .collect();
+        for engine in [SimEngine::Direct, SimEngine::Replay] {
+            let (flat, _) = dcache_sweep(&cfg, &configs, &NoopObserver, engine);
+            assert_eq!(flat, nested, "{engine:?} flattened indexing drifted");
+        }
     }
 
     #[test]

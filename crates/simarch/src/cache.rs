@@ -77,7 +77,6 @@ impl CacheConfig {
 
 /// Per-level hit/miss statistics, split by demand reads and writes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-// lint: allow(dead_api): stats type returned by the cache model; fields are the catalog's read surface
 pub struct CacheStats {
     /// Demand-read hits.
     pub read_hits: u64,
@@ -104,6 +103,28 @@ impl CacheStats {
     pub fn hits(&self) -> u64 {
         self.read_hits + self.write_hits
     }
+}
+
+/// Outcome of [`Cache::lookup_fast`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lookup {
+    /// The line was resident; its way is stamped most-recently-used.
+    Hit,
+    /// The line was absent; pass the miss to [`Cache::install_fast`].
+    Miss(Miss),
+}
+
+/// A fast-path miss: the set, the way an install fills when the policy
+/// does not override it, and the tag to install.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Miss {
+    /// First slot of the set in the SoA rows.
+    base: usize,
+    /// First-wins stamp argmin within the set (an invalid way if any).
+    way: usize,
+    tag: u64,
+    /// Every way was valid, so a non-LRU policy picks the victim.
+    full: bool,
 }
 
 /// Access type.
@@ -236,9 +257,10 @@ impl Cache {
     /// argmin scan is shared by every policy: an invalid way's zero stamp
     /// is the unconditional minimum and first-wins tiebreaking matches the
     /// first-free-way preference, so [`Cache::policy_victim`] only runs
-    /// when the set is full (`best_lru != 0`). Shared between
-    /// [`Cache::fill`] and [`Cache::fill_fast`] so both engines draw from
-    /// the same xorshift sequence.
+    /// when the set is full (`best_lru != 0`). [`Cache::lookup_fast`]
+    /// folds the same argmin into its hit scan, and [`Cache::install_fast`]
+    /// calls [`Cache::policy_victim`] under the same condition, so both
+    /// engines draw from the same xorshift sequence.
     #[inline]
     fn select_victim(&mut self, base: usize) -> usize {
         let ways = self.cfg.associativity as usize;
@@ -287,20 +309,26 @@ impl Cache {
         base + w
     }
 
-    /// Fast-path lookup for the stream replay engine: the exact hit/stamp
-    /// behavior of [`Cache::access`] minus statistics (tallied in bulk by
-    /// the caller). The pLRU word is maintained only under
+    /// Fast-path lookup for the stream replay engine: one scan over the
+    /// set that either stamps the hit way — the exact hit behavior of
+    /// [`Cache::access`] minus statistics, which the caller tallies in bulk
+    /// — or, on a miss, returns the first-wins stamp argmin that
+    /// [`Cache::fill`] would pick, for [`Cache::install_fast`] to apply.
+    /// The pLRU word is maintained only under
     /// [`ReplacementPolicy::TreePlru`] — the one policy that consults it —
-    /// so LRU/Random probes skip the tree walk without changing any
+    /// so LRU/Random lookups skip the tree walk without changing any
     /// observable state.
     #[inline]
-    pub(crate) fn probe_fast(&mut self, addr: u64) -> bool {
+    pub(crate) fn lookup_fast(&mut self, addr: u64) -> Lookup {
         self.clock += 1;
         let (base, tag) = self.set_range(addr);
         let ways = self.cfg.associativity as usize;
-        for w in 0..ways {
-            if self.lru[base + w] != 0 && self.tags[base + w] == tag {
-                self.lru[base + w] = self.clock;
+        let mut victim = 0;
+        let mut best_lru = u64::MAX;
+        let set = self.lru[base..base + ways].iter_mut().zip(&self.tags[base..base + ways]);
+        for (w, (stamp, &line)) in set.enumerate() {
+            if *stamp != 0 && line == tag {
+                *stamp = self.clock;
                 if self.cfg.policy == ReplacementPolicy::TreePlru {
                     touch_plru_outlined(
                         &mut self.plru[base / ways],
@@ -308,36 +336,37 @@ impl Cache {
                         self.cfg.associativity,
                     );
                 }
-                return true;
+                return Lookup::Hit;
+            }
+            if *stamp < best_lru {
+                best_lru = *stamp;
+                victim = w;
             }
         }
-        false
+        Lookup::Miss(Miss { base, way: victim, tag, full: best_lru != 0 })
     }
 
-    /// Fast-path install: the exact victim choice and stamping of
-    /// [`Cache::fill`] under every policy, minus the evicted address
-    /// reconstruction; the pLRU touch runs only when the policy reads it.
+    /// Fast-path install of a [`Cache::lookup_fast`] miss: the exact victim
+    /// choice and stamping of [`Cache::fill`] under every policy, minus the
+    /// evicted address reconstruction. The set is untouched between the
+    /// lookup and the install, so the scanned argmin still stands; the
+    /// non-LRU policies draw their victim here, at install, exactly as
+    /// `fill` does, so the pLRU and xorshift sequences are unchanged. The
+    /// pLRU touch runs only when the policy reads it.
     #[inline]
-    pub(crate) fn fill_fast(&mut self, addr: u64) {
+    pub(crate) fn install_fast(&mut self, miss: Miss) {
         self.clock += 1;
-        let (base, tag) = self.set_range(addr);
-        let ways = self.cfg.associativity as usize;
-        let mut victim = base;
-        let mut best_lru = u64::MAX;
-        for (i, &stamp) in self.lru[base..base + ways].iter().enumerate() {
-            if stamp < best_lru {
-                best_lru = stamp;
-                victim = base + i;
-            }
-        }
-        if best_lru != 0 && self.cfg.policy != ReplacementPolicy::Lru {
-            victim = self.policy_victim(base);
-        }
+        let Miss { base, way, tag, full } = miss;
+        let victim = if full && self.cfg.policy != ReplacementPolicy::Lru {
+            self.policy_victim(base)
+        } else {
+            base + way
+        };
         self.tags[victim] = tag;
         self.lru[victim] = self.clock;
         if self.cfg.policy == ReplacementPolicy::TreePlru {
             touch_plru_outlined(
-                &mut self.plru[base / ways],
+                &mut self.plru[base / self.cfg.associativity as usize],
                 (victim - base) as u32,
                 self.cfg.associativity,
             );
@@ -443,7 +472,7 @@ impl Cache {
 /// Marks way `w` most-recently-used in a tree-pLRU bit word: walk from the
 /// root, flipping each internal node to point *away* from the taken path.
 /// Out-of-line [`touch_plru`] for the fast-path hot loops: keeps the tree
-/// walk's code out of `probe_fast`/`fill_fast`, whose scan loops would
+/// walk's code out of `lookup_fast`/`install_fast`, whose scan loops would
 /// otherwise pay a codegen penalty on every policy for maintenance only
 /// tree-pLRU needs (measured ~40% on the LRU dcache replay when inlined).
 #[inline(never)]
@@ -709,5 +738,86 @@ mod policy_tests {
     #[should_panic(expected = "power-of-two ways")]
     fn plru_rejects_odd_associativity() {
         CacheConfig::with_policy(576, 64, 3, ReplacementPolicy::TreePlru);
+    }
+}
+
+#[cfg(test)]
+mod fast_path_parity {
+    use super::*;
+
+    /// Seeded xorshift64 stream of small integers.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self, bound: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % bound
+        }
+    }
+
+    /// Drives the reference `access`+`fill` pair and the fused
+    /// `lookup_fast`+`install_fast` pair side by side over one seeded
+    /// stream, then checks that the two caches cannot be told apart.
+    fn assert_parity(policy: ReplacementPolicy, seed: u64) {
+        // 4 sets x 4 ways x 64 B; 40 distinct lines overflow every set,
+        // while the skewed draw keeps a hot subset resident.
+        let cfg = CacheConfig::with_policy(1024, 64, 4, policy);
+        let (mut reference, mut fast) = (Cache::new(cfg), Cache::new(cfg));
+        let mut stream = Stream(seed);
+        let mut tally = CacheStats::default();
+        for i in 0..5_000 {
+            let hot = stream.next(4) != 0;
+            let line = if hot { stream.next(10) } else { stream.next(40) };
+            let addr = line * 64 + stream.next(64);
+            let kind = if stream.next(3) == 0 { AccessKind::Write } else { AccessKind::Read };
+            let ref_hit = reference.access(addr, kind);
+            if !ref_hit {
+                reference.fill(addr);
+            }
+            let fast_hit = match fast.lookup_fast(addr) {
+                Lookup::Hit => true,
+                Lookup::Miss(miss) => {
+                    fast.install_fast(miss);
+                    false
+                }
+            };
+            assert_eq!(fast_hit, ref_hit, "{policy:?} seed {seed}: access {i} at {addr:#x}");
+            match (kind, fast_hit) {
+                (AccessKind::Read, true) => tally.read_hits += 1,
+                (AccessKind::Read, false) => tally.read_misses += 1,
+                (AccessKind::Write, true) => tally.write_hits += 1,
+                (AccessKind::Write, false) => tally.write_misses += 1,
+            }
+        }
+        // The bulk flush the stream engine performs.
+        fast.stats = tally;
+        assert_eq!(fast.stats, reference.stats, "{policy:?} seed {seed}: statistics");
+        assert!(tally.read_hits > 0 && tally.read_misses > 0, "stream must both hit and miss");
+        let canonical = |c: &Cache| {
+            let mut out = Vec::new();
+            c.canonical_into(&mut out);
+            out
+        };
+        assert_eq!(canonical(&fast), canonical(&reference), "{policy:?} seed {seed}: state");
+        assert_eq!(fast.tags, reference.tags, "{policy:?} seed {seed}: tags");
+        assert_eq!(fast.lru, reference.lru, "{policy:?} seed {seed}: stamps");
+        assert_eq!(fast.clock, reference.clock, "{policy:?} seed {seed}: clock");
+        assert_eq!(fast.rng_state, reference.rng_state, "{policy:?} seed {seed}: rng");
+        if policy == ReplacementPolicy::TreePlru {
+            assert_eq!(fast.plru, reference.plru, "seed {seed}: pLRU words");
+        }
+    }
+
+    #[test]
+    fn fused_lookup_install_matches_access_fill_under_every_policy() {
+        for policy in
+            [ReplacementPolicy::Lru, ReplacementPolicy::TreePlru, ReplacementPolicy::Random]
+        {
+            for seed in [1, 0x9E37_79B9_7F4A_7C15, 0xDEAD_BEEF] {
+                assert_parity(policy, seed);
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Three-level data-cache hierarchy with a next-line prefetcher.
 
-use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats, ReplacementPolicy};
+use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats, Lookup, ReplacementPolicy};
 use serde::{Deserialize, Serialize};
 
 /// Where in the hierarchy a demand access was satisfied.
@@ -238,20 +238,21 @@ impl Hierarchy {
     }
 
     /// Fast-path next-line prefetch after a demand access satisfied below
-    /// L1: probe L1 for `addr`'s successor line and fill on miss. Returns
-    /// `true` when a fill was issued so the stream engine can tally it.
-    /// State-identical to the reference prefetch block in
+    /// L1: look up `addr`'s successor line in L1 and install it on a miss.
+    /// Returns `true` when a fill was issued so the stream engine can tally
+    /// it. State-identical to the reference prefetch block in
     /// [`Hierarchy::access`] (`probe_silent` + `fill` there), minus the
     /// evicted-address reconstruction and the `prefetch_fills` bump, which
     /// the tally flushes in bulk.
     #[inline]
     pub(crate) fn prefetch_fast(&mut self, addr: u64) -> bool {
         let next = addr + self.l1.config().line_bytes;
-        if self.l1.probe_fast(next) {
-            false
-        } else {
-            self.l1.fill_fast(next);
-            true
+        match self.l1.lookup_fast(next) {
+            Lookup::Hit => false,
+            Lookup::Miss(miss) => {
+                self.l1.install_fast(miss);
+                true
+            }
         }
     }
 
@@ -262,24 +263,27 @@ impl Hierarchy {
 
     /// Fast-path access: the exact lookup/fill/clock sequence of
     /// [`Hierarchy::access`] minus statistics (tallied in bulk by the
-    /// stream replay engine via [`Hierarchy::add_bulk_stats`]).
+    /// stream replay engine via [`Hierarchy::add_bulk_stats`]). Each level
+    /// scans its set once: a missing level's lookup already carries the
+    /// victim its install applies, and no level's set changes in between
+    /// (each install touches only its own level).
     #[inline]
     pub(crate) fn access_fast(&mut self, addr: u64) -> MemLevel {
-        if self.l1.probe_fast(addr) {
+        let Lookup::Miss(l1) = self.l1.lookup_fast(addr) else {
             return MemLevel::L1;
-        }
-        if self.l2.probe_fast(addr) {
-            self.l1.fill_fast(addr);
+        };
+        let Lookup::Miss(l2) = self.l2.lookup_fast(addr) else {
+            self.l1.install_fast(l1);
             return MemLevel::L2;
-        }
-        if self.l3.probe_fast(addr) {
-            self.l2.fill_fast(addr);
-            self.l1.fill_fast(addr);
+        };
+        let Lookup::Miss(l3) = self.l3.lookup_fast(addr) else {
+            self.l2.install_fast(l2);
+            self.l1.install_fast(l1);
             return MemLevel::L3;
-        }
-        self.l3.fill_fast(addr);
-        self.l2.fill_fast(addr);
-        self.l1.fill_fast(addr);
+        };
+        self.l3.install_fast(l3);
+        self.l2.install_fast(l2);
+        self.l1.install_fast(l1);
         MemLevel::Memory
     }
 

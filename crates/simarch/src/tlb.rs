@@ -122,30 +122,31 @@ impl Tlb {
 
     /// Fast-path translation for the stream replay engine: the exact
     /// hit/install/stamp behavior of [`Tlb::translate`] minus statistics
-    /// (tallied in bulk by the caller).
+    /// (tallied in bulk by the caller), in one scan over the set — the
+    /// first-wins LRU argmin is tracked alongside the hit check, so a miss
+    /// installs without rescanning.
     #[inline]
     pub(crate) fn translate_fast(&mut self, addr: u64) -> bool {
         self.clock += 1;
         let vpn = addr >> self.page_shift;
-        let set = (vpn & self.set_mask) as usize;
         let ways = self.cfg.associativity as usize;
-        let base = set * ways;
-        for w in 0..ways {
-            if self.lru[base + w] != 0 && self.vpns[base + w] == vpn {
-                self.lru[base + w] = self.clock;
+        let base = (vpn & self.set_mask) as usize * ways;
+        let lru = &mut self.lru[base..base + ways];
+        let vpns = &mut self.vpns[base..base + ways];
+        let mut victim = 0;
+        let mut best = u64::MAX;
+        for (w, (stamp, &entry)) in lru.iter_mut().zip(vpns.iter()).enumerate() {
+            if *stamp != 0 && entry == vpn {
+                *stamp = self.clock;
                 return true;
             }
-        }
-        let mut victim = base;
-        let mut best = u64::MAX;
-        for w in 0..ways {
-            if self.lru[base + w] < best {
-                best = self.lru[base + w];
-                victim = base + w;
+            if *stamp < best {
+                best = *stamp;
+                victim = w;
             }
         }
-        self.vpns[victim] = vpn;
-        self.lru[victim] = self.clock;
+        vpns[victim] = vpn;
+        lru[victim] = self.clock;
         false
     }
 
@@ -244,5 +245,52 @@ mod tests {
         t.translate(0);
         t.reset();
         assert!(!t.translate(0));
+    }
+}
+
+#[cfg(test)]
+mod fast_path_parity {
+    use super::*;
+
+    #[test]
+    fn fused_translate_matches_reference() {
+        // 4 sets x 4 ways; 48 distinct pages overflow every set, while the
+        // skewed draw keeps a hot subset resident.
+        let cfg = TlbConfig { entries: 16, associativity: 4, page_bytes: 4096 };
+        for seed in [1u64, 0x9E37_79B9_7F4A_7C15, 0xDEAD_BEEF] {
+            let (mut reference, mut fast) = (Tlb::new(cfg), Tlb::new(cfg));
+            let mut state = seed;
+            let mut next = |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            let (mut hits, mut misses) = (0, 0);
+            for i in 0..5_000 {
+                let page = if next(4) != 0 { next(12) } else { next(48) };
+                let addr = page * 4096 + next(4096);
+                let fast_hit = fast.translate_fast(addr);
+                assert_eq!(fast_hit, reference.translate(addr), "seed {seed}: access {i}");
+                if fast_hit {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+            }
+            assert!(hits > 0 && misses > 0, "stream must both hit and miss");
+            // The bulk flush the stream engine performs.
+            fast.add_stats(hits, misses);
+            assert_eq!(fast.stats, reference.stats, "seed {seed}: statistics");
+            let canonical = |t: &Tlb| {
+                let mut out = Vec::new();
+                t.canonical_into(&mut out);
+                out
+            };
+            assert_eq!(canonical(&fast), canonical(&reference), "seed {seed}: state");
+            assert_eq!(fast.vpns, reference.vpns, "seed {seed}: VPNs");
+            assert_eq!(fast.lru, reference.lru, "seed {seed}: stamps");
+            assert_eq!(fast.clock, reference.clock, "seed {seed}: clock");
+        }
     }
 }

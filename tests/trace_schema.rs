@@ -91,7 +91,13 @@ fn trace_funnel_reconciles_and_counters_cover_linalg() {
 
     // The simulator runner reports its engine choice and stream-memo
     // bookkeeping as counters on every CPU domain run.
-    assert_eq!(get("runner.engine"), Some(1), "fast-test config must take the replay fast path");
+    assert_eq!(
+        get("runner.engine.replay"),
+        Some(1),
+        "fast-test config must take the replay fast path, once per run"
+    );
+    assert_eq!(get("runner.engine.fallback"), None);
+    assert_eq!(get("runner.engine.direct"), None);
     assert!(get("stream.memo_hits").is_some());
     assert!(get("stream.memo_misses").is_some());
     assert!(get("stream.passes_collapsed").is_some());
@@ -110,7 +116,7 @@ fn cache_domain_traces_show_stream_collapse_counters() {
     let get = |name: &str| {
         counters.iter().find(|c| c["name"].as_str() == Some(name)).and_then(|c| c["value"].as_u64())
     };
-    assert_eq!(get("runner.engine"), Some(1));
+    assert_eq!(get("runner.engine.replay"), Some(1));
     assert!(get("stream.passes_collapsed").unwrap() > 0, "steady passes must collapse");
     assert!(get("stream.memo_hits").unwrap() > 0, "measure phase must reuse warmup fixed points");
 }
