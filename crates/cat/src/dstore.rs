@@ -65,10 +65,9 @@ impl StoreConfig {
 
     /// Program performing `passes` full write passes.
     pub fn program(&self, base: u64, seed: u64, passes: u64) -> Program {
-        let mut block = Block::new();
-        for &a in &self.addresses(base, seed) {
-            block = block.push(Instruction::Store { addr: a, size: 8 });
-        }
+        let addrs = self.addresses(base, seed);
+        let instructions = addrs.iter().map(|&addr| Instruction::Store { addr, size: 8 }).collect();
+        let block = Block { instructions };
         Program::new().counted_loop(block, passes, 13)
     }
 }

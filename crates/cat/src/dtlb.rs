@@ -87,10 +87,8 @@ impl TlbChaseConfig {
     /// Program performing `passes` passes over the chain.
     pub fn program(&self, base: u64, seed: u64, passes: u64) -> Program {
         let addrs = self.chase_addresses(base, seed);
-        let mut block = Block::new();
-        for &a in &addrs {
-            block = block.push(Instruction::Load { addr: a, size: 8 });
-        }
+        let instructions = addrs.iter().map(|&addr| Instruction::Load { addr, size: 8 }).collect();
+        let block = Block { instructions };
         Program::new().counted_loop(block, passes, 11)
     }
 }

@@ -1,5 +1,10 @@
 //! Set-associative cache model with configurable replacement (true LRU,
 //! tree pseudo-LRU, or seeded random).
+//!
+//! Each set is a row of tag slots whose order is the set's whole state:
+//! valid lines form a prefix, kept most-recent first under LRU. One private `probe`/`install` pair per cache
+//! serves both the reference path (`access`/`fill`) and the stream
+//! engine's fast path (`lookup_fast`/`install_fast`).
 
 use serde::{Deserialize, Serialize};
 
@@ -108,23 +113,19 @@ impl CacheStats {
 /// Outcome of [`Cache::lookup_fast`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Lookup {
-    /// The line was resident; its way is stamped most-recently-used.
+    /// The line was resident; its recency is already updated.
     Hit,
     /// The line was absent; pass the miss to [`Cache::install_fast`].
     Miss(Miss),
 }
 
-/// A fast-path miss: the set, the way an install fills when the policy
-/// does not override it, and the tag to install.
+/// A fast-path miss: the set and the tag that [`Cache::install_fast`]
+/// installs, so the install does not split the address again.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Miss {
-    /// First slot of the set in the SoA rows.
+    /// First slot of the set in `tags`.
     base: usize,
-    /// First-wins stamp argmin within the set (an invalid way if any).
-    way: usize,
     tag: u64,
-    /// Every way was valid, so a non-LRU policy picks the victim.
-    full: bool,
 }
 
 /// Access type.
@@ -136,14 +137,25 @@ pub enum AccessKind {
     Write,
 }
 
+/// Tag of an empty slot. A tag is `addr >> (line_shift + set_shift)`, so it
+/// can equal `u64::MAX` only when both shifts are zero — one-byte lines in
+/// a single set — which [`Cache::new`] rejects. The same holds for VPNs and
+/// one-byte pages in [`crate::tlb::Tlb`].
+pub(crate) const EMPTY: u64 = u64::MAX;
+
 /// One level of set-associative cache.
 ///
-/// State is struct-of-arrays: parallel `tags`/`lru` vectors indexed by
-/// `set * ways + way`. A line is valid iff its LRU stamp is non-zero —
-/// the clock pre-increments before every touch or fill, so live lines
-/// always carry a stamp ≥ 1, and the sentinel doubles as the victim key
-/// (an invalid way is the unconditional LRU minimum). This keeps the hot
-/// lookup scanning two dense `u64` rows instead of a padded struct array.
+/// A set's state is its slot order. `tags` holds `ways` slots per set,
+/// indexed `set * ways + slot`, with [`EMPTY`] in free slots. Every policy
+/// fills the first free slot and nothing invalidates a single line, so a
+/// set's valid lines are always a prefix of its slots.
+///
+/// * Under LRU the prefix is kept most-recent first: a hit at slot `k`
+///   moves slots `0..k` down one and puts the line in slot 0; a miss moves
+///   the whole set down one, dropping the last slot (the LRU line or a free
+///   slot).
+/// * Under TreePlru and Random a slot is a way index, since the bit tree
+///   and the random draw name ways by position.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -154,15 +166,12 @@ pub struct Cache {
     set_mask: u64,
     /// `log2(num_sets)`.
     set_shift: u32,
-    /// Line tags, `set * ways + way` layout.
+    /// Line tags, `set * ways + slot` layout; [`EMPTY`] marks a free slot.
     tags: Vec<u64>,
-    /// LRU stamps, same layout; 0 means the way is invalid.
-    lru: Vec<u64>,
-    /// Tree-pLRU state: one bit-tree word per set.
+    /// Tree-pLRU state: one bit-tree word per set, kept under TreePlru only.
     plru: Vec<u32>,
     /// Xorshift state for the random policy.
     rng_state: u64,
-    clock: u64,
     /// Accumulated statistics.
     pub stats: CacheStats,
 }
@@ -173,21 +182,24 @@ impl Cache {
     /// # Panics
     /// Panics when the line size or set count is not a power of two (the
     /// [`CacheConfig`] constructors already enforce this; the assert guards
-    /// configs built as struct literals).
+    /// configs built as struct literals), and for one-byte lines in a single
+    /// set, whose tags could collide with the empty-slot sentinel.
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.line_bytes.is_power_of_two(), "line size must be a power of two");
         assert!(cfg.num_sets().is_power_of_two(), "set count must be a power of two");
+        assert!(
+            cfg.line_bytes * cfg.num_sets() > 1,
+            "one-byte lines in one set leave no tag bit for the empty-slot sentinel"
+        );
         let n = (cfg.num_sets() * u64::from(cfg.associativity)) as usize;
         Self {
             cfg,
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: cfg.num_sets() - 1,
             set_shift: cfg.num_sets().trailing_zeros(),
-            tags: vec![0; n],
-            lru: vec![0; n],
+            tags: vec![EMPTY; n],
             plru: vec![0; cfg.num_sets() as usize],
             rng_state: 0x2545_F491_4F6C_DD1D,
-            clock: 0,
             stats: CacheStats::default(),
         }
     }
@@ -208,20 +220,8 @@ impl Cache {
     /// Looks up `addr`; on hit refreshes LRU and returns `true`. Does not
     /// allocate on miss (use [`Cache::fill`]).
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> bool {
-        self.clock += 1;
         let (base, tag) = self.set_range(addr);
-        let ways = self.cfg.associativity as usize;
-        let mut hit = false;
-        for w in 0..ways {
-            if self.lru[base + w] != 0 && self.tags[base + w] == tag {
-                self.lru[base + w] = self.clock;
-                hit = true;
-                let set = base / ways;
-                let ways_u32 = self.cfg.associativity;
-                touch_plru(&mut self.plru[set], w as u32, ways_u32);
-                break;
-            }
-        }
+        let hit = self.probe(base, tag);
         match (kind, hit) {
             (AccessKind::Read, true) => self.stats.read_hits += 1,
             (AccessKind::Read, false) => self.stats.read_misses += 1,
@@ -231,72 +231,87 @@ impl Cache {
         hit
     }
 
-    /// Installs the line containing `addr`, evicting the LRU way if needed.
-    /// Returns the evicted line's address when a valid line was displaced.
+    /// Installs the line containing `addr`, evicting per the policy if the
+    /// set is full. Returns the evicted line's address when a valid line
+    /// was displaced. The line must not be resident: every caller fills
+    /// only after a miss.
     pub fn fill(&mut self, addr: u64) -> Option<u64> {
-        self.clock += 1;
         let (base, tag) = self.set_range(addr);
+        let evicted = self.install(base, tag);
+        let set = (base / self.cfg.associativity as usize) as u64;
+        (evicted != EMPTY).then(|| (evicted * self.cfg.num_sets() + set) * self.cfg.line_bytes)
+    }
+
+    /// Looks `tag` up in the set at `base` and, on a hit, applies the
+    /// policy's recency update: under LRU the line moves to slot 0, under
+    /// TreePlru its way is touched in the bit tree, and Random keeps no
+    /// recency. The one hit path behind [`Cache::access`],
+    /// [`Cache::probe_silent`] and [`Cache::lookup_fast`].
+    #[inline]
+    fn probe(&mut self, base: usize, tag: u64) -> bool {
         let ways = self.cfg.associativity as usize;
-        let num_sets = self.cfg.num_sets();
-        let set_index = (base / ways) as u64;
-        let set = base / ways;
-        let victim = self.select_victim(base);
-        let evicted = if self.lru[victim] != 0 {
-            Some((self.tags[victim] * num_sets + set_index) * self.cfg.line_bytes)
-        } else {
-            None
+        // lint: allow(reachable_panic): base is a set index times associativity, in range by construction
+        let set = &mut self.tags[base..base + ways];
+        let Some(slot) = set.iter().position(|&line| line == tag) else {
+            return false;
         };
-        self.tags[victim] = tag;
-        self.lru[victim] = self.clock;
-        touch_plru(&mut self.plru[set], (victim - base) as u32, self.cfg.associativity);
+        match self.cfg.policy {
+            ReplacementPolicy::Lru => promote(set, slot, tag),
+            ReplacementPolicy::TreePlru => touch_plru(
+                // lint: allow(reachable_panic): base/ways is the set index, in range by construction
+                &mut self.plru[base / ways],
+                slot as u32,
+                self.cfg.associativity,
+            ),
+            ReplacementPolicy::Random => {}
+        }
+        true
+    }
+
+    /// Installs `tag`, which must not be resident, in the set at `base` and
+    /// returns the displaced tag ([`EMPTY`] when a free slot took it). The
+    /// one install path behind [`Cache::fill`] and [`Cache::install_fast`].
+    /// Under LRU the set moves down one slot and the line takes slot 0.
+    /// Under TreePlru and Random the line takes the first free slot, or the
+    /// policy's victim when the set is full; the victim is drawn only then,
+    /// so the bit tree and the xorshift state advance once per eviction.
+    #[inline]
+    fn install(&mut self, base: usize, tag: u64) -> u64 {
+        let ways = self.cfg.associativity as usize;
+        // lint: allow(reachable_panic): base is a set index times associativity, in range by construction
+        let set = &mut self.tags[base..base + ways];
+        if self.cfg.policy == ReplacementPolicy::Lru {
+            let evicted = set[ways - 1];
+            promote(set, ways - 1, tag);
+            return evicted;
+        }
+        let way = match set.iter().position(|&line| line == EMPTY) {
+            Some(free) => free,
+            None => self.policy_victim(base / ways),
+        };
+        // lint: allow(reachable_panic): base + way is a slot of this set, in range by construction
+        let evicted = std::mem::replace(&mut self.tags[base + way], tag);
+        if self.cfg.policy == ReplacementPolicy::TreePlru {
+            // lint: allow(reachable_panic): base/ways is the set index, in range by construction
+            touch_plru(&mut self.plru[base / ways], way as u32, self.cfg.associativity);
+        }
         evicted
     }
 
-    /// Picks the way to displace in the set starting at `base` (prefer an
-    /// invalid way; otherwise evict per the configured policy). The stamp
-    /// argmin scan is shared by every policy: an invalid way's zero stamp
-    /// is the unconditional minimum and first-wins tiebreaking matches the
-    /// first-free-way preference, so [`Cache::policy_victim`] only runs
-    /// when the set is full (`best_lru != 0`). [`Cache::lookup_fast`]
-    /// folds the same argmin into its hit scan, and [`Cache::install_fast`]
-    /// calls [`Cache::policy_victim`] under the same condition, so both
-    /// engines draw from the same xorshift sequence.
-    #[inline]
-    fn select_victim(&mut self, base: usize) -> usize {
-        let ways = self.cfg.associativity as usize;
-        let mut victim = base;
-        let mut best_lru = u64::MAX;
-        // lint: allow(reachable_panic): base is a set index times associativity, in range by construction
-        for (i, &stamp) in self.lru[base..base + ways].iter().enumerate() {
-            if stamp < best_lru {
-                best_lru = stamp;
-                victim = base + i;
-            }
-        }
-        if best_lru != 0 && self.cfg.policy != ReplacementPolicy::Lru {
-            victim = self.policy_victim(base);
-        }
-        victim
-    }
-
-    /// Victim choice in a *full* set for the non-LRU policies. Out of line
-    /// on purpose: inlining the pLRU tree walk and the xorshift draw into
-    /// the fill hot loops costs the dominant LRU configuration ~40% on the
-    /// dcache replay even when the policy branch is never taken.
+    /// Victim way in a *full* set for the non-LRU policies. Out of line on
+    /// purpose: inlining the pLRU tree walk and the xorshift draw into the
+    /// install hot path costs the dominant LRU configuration even when the
+    /// policy branch is never taken.
     #[inline(never)]
-    fn policy_victim(&mut self, base: usize) -> usize {
+    fn policy_victim(&mut self, set: usize) -> usize {
         let ways = self.cfg.associativity as usize;
-        let w = match self.cfg.policy {
-            // Unreachable from `select_victim`; kept total so this stays a
-            // plain function of the policy (the argmin is the LRU victim).
-            ReplacementPolicy::Lru => {
-                // lint: allow(reachable_panic): base is a set index times associativity, in range by construction
-                let lru = &self.lru[base..base + ways];
-                (0..ways).min_by_key(|&i| lru[i]).unwrap_or(0)
-            }
+        match self.cfg.policy {
+            // Unreachable from `install`; kept total so this stays a plain
+            // function of the policy (the last slot holds the LRU line).
+            ReplacementPolicy::Lru => ways - 1,
             ReplacementPolicy::TreePlru => {
-                // lint: allow(reachable_panic): base/ways is the set index, in range by construction
-                plru_victim(self.plru[base / ways], self.cfg.associativity) as usize
+                // lint: allow(reachable_panic): set is a set index, in range by construction
+                plru_victim(self.plru[set], self.cfg.associativity) as usize
             }
             ReplacementPolicy::Random => {
                 // xorshift64*
@@ -305,72 +320,30 @@ impl Cache {
                 self.rng_state ^= self.rng_state >> 27;
                 (self.rng_state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % ways
             }
-        };
-        base + w
+        }
     }
 
-    /// Fast-path lookup for the stream replay engine: one scan over the
-    /// set that either stamps the hit way — the exact hit behavior of
-    /// [`Cache::access`] minus statistics, which the caller tallies in bulk
-    /// — or, on a miss, returns the first-wins stamp argmin that
-    /// [`Cache::fill`] would pick, for [`Cache::install_fast`] to apply.
-    /// The pLRU word is maintained only under
-    /// [`ReplacementPolicy::TreePlru`] — the one policy that consults it —
-    /// so LRU/Random lookups skip the tree walk without changing any
-    /// observable state.
+    /// Fast-path lookup for the stream replay engine: [`Cache::access`]
+    /// minus statistics, which the caller tallies in bulk. A miss carries
+    /// the set and tag to [`Cache::install_fast`], so the hierarchy can
+    /// look further down before installing without splitting the address
+    /// again.
     #[inline]
     pub(crate) fn lookup_fast(&mut self, addr: u64) -> Lookup {
-        self.clock += 1;
         let (base, tag) = self.set_range(addr);
-        let ways = self.cfg.associativity as usize;
-        let mut victim = 0;
-        let mut best_lru = u64::MAX;
-        let set = self.lru[base..base + ways].iter_mut().zip(&self.tags[base..base + ways]);
-        for (w, (stamp, &line)) in set.enumerate() {
-            if *stamp != 0 && line == tag {
-                *stamp = self.clock;
-                if self.cfg.policy == ReplacementPolicy::TreePlru {
-                    touch_plru_outlined(
-                        &mut self.plru[base / ways],
-                        w as u32,
-                        self.cfg.associativity,
-                    );
-                }
-                return Lookup::Hit;
-            }
-            if *stamp < best_lru {
-                best_lru = *stamp;
-                victim = w;
-            }
+        if self.probe(base, tag) {
+            Lookup::Hit
+        } else {
+            Lookup::Miss(Miss { base, tag })
         }
-        Lookup::Miss(Miss { base, way: victim, tag, full: best_lru != 0 })
     }
 
-    /// Fast-path install of a [`Cache::lookup_fast`] miss: the exact victim
-    /// choice and stamping of [`Cache::fill`] under every policy, minus the
-    /// evicted address reconstruction. The set is untouched between the
-    /// lookup and the install, so the scanned argmin still stands; the
-    /// non-LRU policies draw their victim here, at install, exactly as
-    /// `fill` does, so the pLRU and xorshift sequences are unchanged. The
-    /// pLRU touch runs only when the policy reads it.
+    /// Fast-path install of a [`Cache::lookup_fast`] miss: [`Cache::fill`]
+    /// minus the evicted-address reconstruction. Nothing touches the set
+    /// between the lookup and the install, so the line is still absent.
     #[inline]
     pub(crate) fn install_fast(&mut self, miss: Miss) {
-        self.clock += 1;
-        let Miss { base, way, tag, full } = miss;
-        let victim = if full && self.cfg.policy != ReplacementPolicy::Lru {
-            self.policy_victim(base)
-        } else {
-            base + way
-        };
-        self.tags[victim] = tag;
-        self.lru[victim] = self.clock;
-        if self.cfg.policy == ReplacementPolicy::TreePlru {
-            touch_plru_outlined(
-                &mut self.plru[base / self.cfg.associativity as usize],
-                (victim - base) as u32,
-                self.cfg.associativity,
-            );
-        }
+        self.install(miss.base, miss.tag);
     }
 
     /// Exact state transition of [`Cache::access`] with no statistics at
@@ -378,83 +351,28 @@ impl Cache {
     /// demand hit/miss counters.
     #[inline]
     pub(crate) fn probe_silent(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         let (base, tag) = self.set_range(addr);
-        let ways = self.cfg.associativity as usize;
-        for w in 0..ways {
-            if self.lru[base + w] != 0 && self.tags[base + w] == tag {
-                self.lru[base + w] = self.clock;
-                touch_plru(&mut self.plru[base / ways], w as u32, self.cfg.associativity);
-                return true;
-            }
-        }
-        false
+        self.probe(base, tag)
     }
 
     /// Appends this cache's behavioral state — everything a future access
-    /// stream can observe, and nothing it cannot. The form depends on the
-    /// policy because each policy observes different parts of the state:
-    ///
-    /// * **LRU** — per set, the number of valid ways followed by their tags
-    ///   in LRU-to-MRU stamp order. Absolute stamp values and way
-    ///   *positions* are unobservable (hits scan all ways; the victim is a
-    ///   stamp argmin), so recency order is the whole story.
-    /// * **TreePlru** — the per-set pLRU bit-tree word, then per way a
-    ///   `(valid, tag)` pair in way order. Positions *are* observable
-    ///   (free-way search is by position; `plru_victim` returns a way
-    ///   index), while stamps matter only through validity.
-    /// * **Random** — the xorshift state once, then per-way `(valid, tag)`
-    ///   pairs in way order, same observability argument as TreePlru with
-    ///   the RNG standing in for the tree word.
+    /// stream can observe, and nothing it cannot. The slot row already is
+    /// that state under LRU (valid tags most-recent first, then free
+    /// slots). TreePlru adds the per-set bit-tree words and Random the
+    /// xorshift state, the other inputs to their victim choice.
     pub(crate) fn canonical_into(&self, out: &mut Vec<u64>) {
-        let ways = self.cfg.associativity as usize;
         match self.cfg.policy {
-            ReplacementPolicy::Lru => {
-                let mut set_buf: Vec<(u64, u64)> = Vec::with_capacity(ways);
-                for set in 0..self.cfg.num_sets() as usize {
-                    let base = set * ways;
-                    set_buf.clear();
-                    for w in 0..ways {
-                        if self.lru[base + w] != 0 {
-                            set_buf.push((self.lru[base + w], self.tags[base + w]));
-                        }
-                    }
-                    set_buf.sort_unstable();
-                    out.push(set_buf.len() as u64);
-                    out.extend(set_buf.iter().map(|&(_, tag)| tag));
-                }
-            }
-            ReplacementPolicy::TreePlru | ReplacementPolicy::Random => {
-                if self.cfg.policy == ReplacementPolicy::Random {
-                    out.push(self.rng_state);
-                }
-                for set in 0..self.cfg.num_sets() as usize {
-                    let base = set * ways;
-                    if self.cfg.policy == ReplacementPolicy::TreePlru {
-                        out.push(u64::from(self.plru[set]));
-                    }
-                    for w in 0..ways {
-                        let valid = self.lru[base + w] != 0;
-                        out.push(u64::from(valid));
-                        out.push(if valid { self.tags[base + w] } else { 0 });
-                    }
-                }
-            }
+            ReplacementPolicy::Lru => {}
+            ReplacementPolicy::TreePlru => out.extend(self.plru.iter().map(|&w| u64::from(w))),
+            ReplacementPolicy::Random => out.push(self.rng_state),
         }
-    }
-
-    /// Advances the stamp clock as if `n` touches happened — used when
-    /// replay collapses steady-state passes without driving them.
-    pub(crate) fn advance_clock(&mut self, n: u64) {
-        self.clock += n;
+        out.extend_from_slice(&self.tags);
     }
 
     /// Invalidates everything and clears statistics.
     pub fn reset(&mut self) {
-        self.tags.fill(0);
-        self.lru.fill(0);
+        self.tags.fill(EMPTY);
         self.plru.fill(0);
-        self.clock = 0;
         self.stats = CacheStats::default();
     }
 
@@ -465,21 +383,25 @@ impl Cache {
 
     /// Number of currently valid lines.
     pub fn valid_lines(&self) -> usize {
-        self.lru.iter().filter(|&&s| s != 0).count()
+        self.tags.iter().filter(|&&line| line != EMPTY).count()
     }
+}
+
+/// Moves the line at `slot` of a most-recent-first set to slot 0 as `tag`,
+/// shifting slots `0..slot` down one. With `slot` the last slot this is an
+/// LRU install: the last line (or free slot) drops out.
+#[inline]
+pub(crate) fn promote(set: &mut [u64], slot: usize, tag: u64) {
+    set.copy_within(..slot, 1);
+    set[0] = tag;
 }
 
 /// Marks way `w` most-recently-used in a tree-pLRU bit word: walk from the
 /// root, flipping each internal node to point *away* from the taken path.
-/// Out-of-line [`touch_plru`] for the fast-path hot loops: keeps the tree
-/// walk's code out of `lookup_fast`/`install_fast`, whose scan loops would
-/// otherwise pay a codegen penalty on every policy for maintenance only
-/// tree-pLRU needs (measured ~40% on the LRU dcache replay when inlined).
+/// Out of line so the tree walk's code stays out of `probe`/`install`,
+/// whose scan loops would otherwise pay a codegen penalty under every
+/// policy for maintenance only tree-pLRU needs.
 #[inline(never)]
-fn touch_plru_outlined(state: &mut u32, w: u32, ways: u32) {
-    touch_plru(state, w, ways);
-}
-
 fn touch_plru(state: &mut u32, w: u32, ways: u32) {
     if ways < 2 {
         return;
@@ -742,13 +664,13 @@ mod policy_tests {
 }
 
 #[cfg(test)]
-mod fast_path_parity {
+mod differential {
     use super::*;
 
     /// Seeded xorshift64 stream of small integers.
-    struct Stream(u64);
+    struct Draw(u64);
 
-    impl Stream {
+    impl Draw {
         fn next(&mut self, bound: u64) -> u64 {
             self.0 ^= self.0 << 13;
             self.0 ^= self.0 >> 7;
@@ -757,67 +679,197 @@ mod fast_path_parity {
         }
     }
 
-    /// Drives the reference `access`+`fill` pair and the fused
-    /// `lookup_fast`+`install_fast` pair side by side over one seeded
-    /// stream, then checks that the two caches cannot be told apart.
-    fn assert_parity(policy: ReplacementPolicy, seed: u64) {
-        // 4 sets x 4 ways x 64 B; 40 distinct lines overflow every set,
-        // while the skewed draw keeps a hot subset resident.
-        let cfg = CacheConfig::with_policy(1024, 64, 4, policy);
-        let (mut reference, mut fast) = (Cache::new(cfg), Cache::new(cfg));
-        let mut stream = Stream(seed);
-        let mut tally = CacheStats::default();
-        for i in 0..5_000 {
-            let hot = stream.next(4) != 0;
-            let line = if hot { stream.next(10) } else { stream.next(40) };
-            let addr = line * 64 + stream.next(64);
-            let kind = if stream.next(3) == 0 { AccessKind::Write } else { AccessKind::Read };
-            let ref_hit = reference.access(addr, kind);
-            if !ref_hit {
-                reference.fill(addr);
-            }
-            let fast_hit = match fast.lookup_fast(addr) {
-                Lookup::Hit => true,
-                Lookup::Miss(miss) => {
-                    fast.install_fast(miss);
-                    false
-                }
-            };
-            assert_eq!(fast_hit, ref_hit, "{policy:?} seed {seed}: access {i} at {addr:#x}");
-            match (kind, fast_hit) {
-                (AccessKind::Read, true) => tally.read_hits += 1,
-                (AccessKind::Read, false) => tally.read_misses += 1,
-                (AccessKind::Write, true) => tally.write_hits += 1,
-                (AccessKind::Write, false) => tally.write_misses += 1,
+    /// The stamp-and-clock cache that slot order replaced, kept as the
+    /// oracle: a clock bumped on every lookup and fill, one LRU stamp per
+    /// way (zero marks an invalid way), a first-wins stamp argmin for the
+    /// victim, and the same pLRU word and xorshift draw.
+    struct StampCache {
+        cfg: CacheConfig,
+        tags: Vec<u64>,
+        lru: Vec<u64>,
+        plru: Vec<u32>,
+        rng: u64,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl StampCache {
+        fn new(cfg: CacheConfig) -> Self {
+            let n = (cfg.num_sets() * u64::from(cfg.associativity)) as usize;
+            let (tags, lru, plru) = (vec![0; n], vec![0; n], vec![0; cfg.num_sets() as usize]);
+            Self {
+                cfg,
+                tags,
+                lru,
+                plru,
+                rng: 0x2545_F491_4F6C_DD1D,
+                clock: 0,
+                stats: Default::default(),
             }
         }
-        // The bulk flush the stream engine performs.
-        fast.stats = tally;
-        assert_eq!(fast.stats, reference.stats, "{policy:?} seed {seed}: statistics");
-        assert!(tally.read_hits > 0 && tally.read_misses > 0, "stream must both hit and miss");
-        let canonical = |c: &Cache| {
-            let mut out = Vec::new();
-            c.canonical_into(&mut out);
-            out
+
+        /// `(first way of the set, tag)`.
+        fn split(&self, addr: u64) -> (usize, u64) {
+            let line = addr / self.cfg.line_bytes;
+            let sets = self.cfg.num_sets();
+            ((line % sets) as usize * self.cfg.associativity as usize, line / sets)
+        }
+
+        fn find(&self, addr: u64) -> Option<usize> {
+            let (base, tag) = self.split(addr);
+            (base..base + self.cfg.associativity as usize)
+                .find(|&i| self.lru[i] != 0 && self.tags[i] == tag)
+        }
+
+        fn probe(&mut self, addr: u64) -> bool {
+            self.clock += 1;
+            let ways = self.cfg.associativity;
+            let Some(i) = self.find(addr) else { return false };
+            self.lru[i] = self.clock;
+            touch_plru(&mut self.plru[i / ways as usize], i as u32 % ways, ways);
+            true
+        }
+
+        fn access(&mut self, addr: u64, kind: AccessKind) -> bool {
+            let hit = self.probe(addr);
+            match (kind, hit) {
+                (AccessKind::Read, true) => self.stats.read_hits += 1,
+                (AccessKind::Read, false) => self.stats.read_misses += 1,
+                (AccessKind::Write, true) => self.stats.write_hits += 1,
+                (AccessKind::Write, false) => self.stats.write_misses += 1,
+            }
+            hit
+        }
+
+        fn fill(&mut self, addr: u64) -> Option<u64> {
+            self.clock += 1;
+            let (base, tag) = self.split(addr);
+            let ways = self.cfg.associativity;
+            let mut victim = base;
+            for i in base..base + ways as usize {
+                if self.lru[i] < self.lru[victim] {
+                    victim = i;
+                }
+            }
+            if self.lru[victim] != 0 {
+                match self.cfg.policy {
+                    ReplacementPolicy::Lru => {}
+                    ReplacementPolicy::TreePlru => {
+                        victim = base + plru_victim(self.plru[base / ways as usize], ways) as usize;
+                    }
+                    ReplacementPolicy::Random => {
+                        self.rng ^= self.rng >> 12;
+                        self.rng ^= self.rng << 25;
+                        self.rng ^= self.rng >> 27;
+                        let draw = self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33;
+                        victim = base + (draw % u64::from(ways)) as usize;
+                    }
+                }
+            }
+            let set = (base / ways as usize) as u64;
+            let evicted = (self.lru[victim] != 0)
+                .then(|| (self.tags[victim] * self.cfg.num_sets() + set) * self.cfg.line_bytes);
+            self.tags[victim] = tag;
+            self.lru[victim] = self.clock;
+            touch_plru(&mut self.plru[base / ways as usize], (victim - base) as u32, ways);
+            evicted
+        }
+
+        fn reset(&mut self) {
+            self.tags.fill(0);
+            self.lru.fill(0);
+            self.plru.fill(0);
+            self.clock = 0;
+            self.stats = CacheStats::default();
+        }
+    }
+
+    /// A seeded geometry: 1–8 sets, 1–16 ways (powers of two under
+    /// TreePlru), 4–64-byte lines.
+    fn geometry(draw: &mut Draw, policy: ReplacementPolicy) -> CacheConfig {
+        let sets = 1 << draw.next(4);
+        let ways = match policy {
+            ReplacementPolicy::TreePlru => 1 << draw.next(5),
+            _ => 1 + draw.next(16),
         };
-        assert_eq!(canonical(&fast), canonical(&reference), "{policy:?} seed {seed}: state");
-        assert_eq!(fast.tags, reference.tags, "{policy:?} seed {seed}: tags");
-        assert_eq!(fast.lru, reference.lru, "{policy:?} seed {seed}: stamps");
-        assert_eq!(fast.clock, reference.clock, "{policy:?} seed {seed}: clock");
-        assert_eq!(fast.rng_state, reference.rng_state, "{policy:?} seed {seed}: rng");
-        if policy == ReplacementPolicy::TreePlru {
-            assert_eq!(fast.plru, reference.plru, "seed {seed}: pLRU words");
+        let line = 4 << draw.next(5);
+        CacheConfig::with_policy(sets * ways * line, line, ways as u32, policy)
+    }
+
+    /// Drives the slot-order cache and the stamp model side by side over a
+    /// seeded mix of `access`, `fill`, `probe_silent`, the fast-path
+    /// lookup/install pair, `reset` and `reset_stats`, comparing every hit
+    /// and every evicted address. A fill only targets an absent line, the
+    /// contract every caller keeps: filling a resident line would leave a
+    /// duplicate, a state neither model defines.
+    fn assert_agrees(policy: ReplacementPolicy, seed: u64) {
+        let mut draw = Draw(seed);
+        let cfg = geometry(&mut draw, policy);
+        let (mut cache, mut model) = (Cache::new(cfg), StampCache::new(cfg));
+        let capacity = cfg.num_sets() * u64::from(cfg.associativity);
+        let tag = format!("{policy:?} seed {seed:#x} {cfg:?}");
+        for i in 0..4_000 {
+            // A hot pool that fits plus a cold pool twice the capacity.
+            let line =
+                if draw.next(3) != 0 { draw.next(capacity) } else { draw.next(3 * capacity) };
+            let addr = line * cfg.line_bytes + draw.next(cfg.line_bytes);
+            let kind = if draw.next(3) == 0 { AccessKind::Write } else { AccessKind::Read };
+            let at = format!("{tag}: op {i} at {addr:#x}");
+            match draw.next(100) {
+                0 => {
+                    cache.reset();
+                    model.reset();
+                }
+                1 | 2 => {
+                    cache.reset_stats();
+                    model.stats = CacheStats::default();
+                }
+                3..=22 if model.find(addr).is_none() => {
+                    assert_eq!(cache.fill(addr), model.fill(addr), "{at}: fill eviction");
+                }
+                23..=37 => assert_eq!(cache.probe_silent(addr), model.probe(addr), "{at}: probe"),
+                38..=57 => {
+                    let hit = match cache.lookup_fast(addr) {
+                        Lookup::Hit => true,
+                        Lookup::Miss(miss) => {
+                            cache.install_fast(miss);
+                            false
+                        }
+                    };
+                    let want = model.probe(addr);
+                    if !want {
+                        model.fill(addr);
+                    }
+                    assert_eq!(hit, want, "{at}: fast path");
+                }
+                _ => {
+                    let hit = cache.access(addr, kind);
+                    assert_eq!(hit, model.access(addr, kind), "{at}: access");
+                    if !hit {
+                        assert_eq!(cache.fill(addr), model.fill(addr), "{at}: fill after miss");
+                    }
+                }
+            }
+        }
+        assert_eq!(cache.stats, model.stats, "{tag}: statistics");
+        let model_valid = model.lru.iter().filter(|&&stamp| stamp != 0).count();
+        assert_eq!(cache.valid_lines(), model_valid, "{tag}: valid lines");
+    }
+
+    #[test]
+    fn slot_order_matches_the_stamp_model_under_every_policy() {
+        for policy in
+            [ReplacementPolicy::Lru, ReplacementPolicy::TreePlru, ReplacementPolicy::Random]
+        {
+            for seed in 1..=40u64 {
+                assert_agrees(policy, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            }
         }
     }
 
     #[test]
-    fn fused_lookup_install_matches_access_fill_under_every_policy() {
-        for policy in
-            [ReplacementPolicy::Lru, ReplacementPolicy::TreePlru, ReplacementPolicy::Random]
-        {
-            for seed in [1, 0x9E37_79B9_7F4A_7C15, 0xDEAD_BEEF] {
-                assert_parity(policy, seed);
-            }
-        }
+    #[should_panic(expected = "empty-slot sentinel")]
+    fn one_byte_single_set_geometry_is_rejected() {
+        Cache::new(CacheConfig::new(4, 1, 4));
     }
 }

@@ -261,11 +261,11 @@ impl Hierarchy {
         self.stats.prefetch_fills += n;
     }
 
-    /// Fast-path access: the exact lookup/fill/clock sequence of
+    /// Fast-path access: the exact lookup/fill sequence of
     /// [`Hierarchy::access`] minus statistics (tallied in bulk by the
-    /// stream replay engine via [`Hierarchy::add_bulk_stats`]). Each level
-    /// scans its set once: a missing level's lookup already carries the
-    /// victim its install applies, and no level's set changes in between
+    /// stream replay engine via [`Hierarchy::add_bulk_stats`]). A missing
+    /// level's lookup hands its set and tag to that level's install, so the
+    /// address is split once per level; no level's set changes in between
     /// (each install touches only its own level).
     #[inline]
     pub(crate) fn access_fast(&mut self, addr: u64) -> MemLevel {
@@ -293,14 +293,6 @@ impl Hierarchy {
         self.l1.canonical_into(out);
         self.l2.canonical_into(out);
         self.l3.canonical_into(out);
-    }
-
-    /// Advances each level's stamp clock — used when replay collapses
-    /// steady-state passes without driving them.
-    pub(crate) fn advance_clocks(&mut self, l1: u64, l2: u64, l3: u64) {
-        self.l1.advance_clock(l1);
-        self.l2.advance_clock(l2);
-        self.l3.advance_clock(l3);
     }
 
     /// Bulk statistics flush from the stream replay engine: accesses

@@ -5,22 +5,21 @@
 //! one pass per loop trip. This module replays that stream with three
 //! exact optimizations:
 //!
-//! * **Hoisted bookkeeping.** Each access runs the same lookup / victim /
-//!   stamp sequence as [`crate::hierarchy::Hierarchy::access`], but the
+//! * **Hoisted bookkeeping.** Each access runs the same per-set lookup and
+//!   install as [`crate::hierarchy::Hierarchy::access`], but the
 //!   per-access statistics dispatch, load-level attribution, and latency
 //!   arithmetic are replaced by bulk counters (accesses satisfied per
-//!   level, split by kind, plus prefetch probes and fills) flushed once
-//!   per pass.
+//!   level, split by kind, plus prefetch fills) flushed once per pass.
 //! * **Steady-state pass collapse.** Unit state is folded to a *canonical
-//!   form* capturing exactly what a future stream can observe — per-set
-//!   recency order under LRU, per-way `(valid, tag)` pairs plus the pLRU
-//!   bit word under TreePlru, the same plus the xorshift state under
-//!   Random (see `Cache::canonical_into`). When the canonical state
-//!   before a pass equals the canonical state before the previous pass,
-//!   every remaining pass must repeat that pass's decisions exactly, so
-//!   the remaining trips are settled analytically: stats, penalties, and
-//!   clock advances are multiplied out and the stream is never touched
-//!   again.
+//!   form* capturing exactly what a future stream can observe — the slot
+//!   rows themselves (recency order under LRU and in the TLB, way order
+//!   under TreePlru and Random), plus the pLRU bit words under TreePlru or
+//!   the xorshift state under Random (see `Cache::canonical_into`). When
+//!   the canonical state before a pass equals the canonical state before
+//!   the previous pass, every remaining pass must repeat that pass's
+//!   decisions exactly, so the remaining trips are settled analytically:
+//!   stats and penalties are multiplied out and the stream is never
+//!   touched again.
 //! * **Cross-call memoization.** In-call collapse still needs one driven
 //!   pass as its comparison point, so the warmup-then-measure call pair
 //!   every runner issues would drive a measured pass anyway. The
@@ -48,8 +47,8 @@ use crate::tlb::Tlb;
 use crate::trace::MemRun;
 
 /// Minimum accesses per pass before canonicalization is attempted: below
-/// this, serializing ~19k state slots per pass costs more than driving
-/// the stream. Purely a performance threshold — results are identical
+/// this, copying and comparing ~19k state slots per pass costs more than
+/// driving the stream. Purely a performance threshold — results are identical
 /// either way.
 const COLLAPSE_MIN_ACCESSES: u64 = 2048;
 
@@ -62,9 +61,9 @@ const MEMO_CAPACITY: usize = 8;
 
 /// Everything one pass over the stream did, bucketed by the level that
 /// satisfied each access and by access kind. All derived statistics
-/// (per-level hit/miss splits, load attribution, prefetch fills, latency
-/// penalties, and per-unit clock advances) are linear in these buckets,
-/// which is what makes collapsed passes exact.
+/// (per-level hit/miss splits, load attribution, prefetch fills, and
+/// latency penalties) are linear in these buckets, which is what makes
+/// collapsed passes exact.
 #[derive(Debug, Default, Clone, Copy)]
 struct PassTally {
     /// Demand reads satisfied at L1/L2/L3/memory.
@@ -75,9 +74,6 @@ struct PassTally {
     tlb_hits: u64,
     /// TLB misses (page walks).
     tlb_misses: u64,
-    /// Next-line prefetch probes issued (one per access satisfied below
-    /// L1 when the prefetcher is on).
-    prefetch_probes: u64,
     /// Prefetch probes that missed L1 and filled it.
     prefetch_fills: u64,
 }
@@ -257,24 +253,6 @@ impl PassTally {
         hierarchy.add_bulk_stats(scale(self.read_lv), scale(self.write_lv));
         hierarchy.add_prefetch_fills(self.prefetch_fills * times);
     }
-
-    /// Advances unit clocks as if `times` such passes were driven: each
-    /// access bumps a level's clock once per probe and once per fill, and
-    /// each prefetch bumps L1 once for the probe plus once when it fills,
-    /// so the advance per pass is fully determined by the buckets.
-    fn advance_clocks(&self, tlb: &mut Tlb, hierarchy: &mut Hierarchy, times: u64) {
-        let both = |i: usize| self.read_lv[i] + self.write_lv[i];
-        let accesses = both(0) + both(1) + both(2) + both(3);
-        let l1_misses = both(1) + both(2) + both(3);
-        let l2_misses = both(2) + both(3);
-        let l3_misses = both(3);
-        tlb.advance_clock(accesses * times);
-        hierarchy.advance_clocks(
-            (accesses + l1_misses + self.prefetch_probes + self.prefetch_fills) * times,
-            (l1_misses + l2_misses) * times,
-            (l2_misses + l3_misses) * times,
-        );
-    }
 }
 
 /// Drives one full pass of the stream, mirroring the reference loop's
@@ -297,11 +275,8 @@ fn drive_pass(tlb: &mut Tlb, hierarchy: &mut Hierarchy, mem: &[MemRun]) -> PassT
                 let level = hierarchy.access_fast(addr);
                 let lv = if is_read { &mut tally.read_lv } else { &mut tally.write_lv };
                 lv[level_index(level)] += 1;
-                if level != MemLevel::L1 {
-                    tally.prefetch_probes += 1;
-                    if hierarchy.prefetch_fast(addr) {
-                        tally.prefetch_fills += 1;
-                    }
+                if level != MemLevel::L1 && hierarchy.prefetch_fast(addr) {
+                    tally.prefetch_fills += 1;
                 }
             }
         } else {
@@ -387,12 +362,11 @@ fn replay_mem_counted(
             };
             if let Some(tally) = hit {
                 tally.flush(tlb, hierarchy, remaining);
-                tally.advance_clocks(tlb, hierarchy, remaining);
                 penalty += tally.penalty(timing) * remaining;
                 memo.stats.passes_collapsed += remaining;
                 // Collapsing repeats the fixed point, so the canonical
-                // state (which ignores absolute clock values) is unchanged
-                // and `canon_cur` remains this stream's valid entry state.
+                // state is unchanged and `canon_cur` remains this stream's
+                // valid entry state.
                 memo.store(mem, &canon_cur, tally);
                 return (penalty, driven);
             }

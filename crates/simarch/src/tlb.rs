@@ -1,5 +1,10 @@
 //! Data TLB model: a small set-associative translation cache.
+//!
+//! Always true LRU, stored like an LRU cache set: a row of VPN slots per
+//! set, most recent first. `translate_fast` is the one per-set
+//! implementation; `translate` adds statistics to it.
 
+use crate::cache::{promote, EMPTY};
 use serde::{Deserialize, Serialize};
 
 /// TLB geometry.
@@ -26,7 +31,6 @@ impl TlbConfig {
 
 /// TLB statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-// lint: allow(dead_api): stats type returned by the TLB model; fields are the catalog's read surface
 pub struct TlbStats {
     /// Translation hits.
     pub hits: u64,
@@ -36,10 +40,10 @@ pub struct TlbStats {
 
 /// A data TLB.
 ///
-/// Like [`crate::cache::Cache`], state is struct-of-arrays: parallel
-/// `vpns`/`lru` vectors indexed by `set * ways + way`, with `lru == 0`
-/// marking an invalid entry (the clock pre-increments, so live entries
-/// always stamp ≥ 1 and the sentinel is the natural eviction minimum).
+/// Like an LRU [`crate::cache::Cache`] set, a TLB set's state is its slot
+/// order: `vpns` holds `ways` slots per set, indexed `set * ways + slot`,
+/// valid entries most-recent first and [`EMPTY`] in the free slots after
+/// them.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     cfg: TlbConfig,
@@ -48,11 +52,9 @@ pub struct Tlb {
     page_shift: u32,
     /// `num_sets - 1`.
     set_mask: u64,
-    /// Virtual page numbers, `set * ways + way` layout.
+    /// Virtual page numbers, `set * ways + slot` layout, most recent first;
+    /// [`EMPTY`] marks a free slot.
     vpns: Vec<u64>,
-    /// LRU stamps, same layout; 0 means the entry is invalid.
-    lru: Vec<u64>,
-    clock: u64,
     /// Accumulated statistics.
     pub stats: TlbStats,
 }
@@ -61,18 +63,19 @@ impl Tlb {
     /// Creates an empty TLB.
     ///
     /// # Panics
-    /// Panics when the geometry does not divide into power-of-two sets.
+    /// Panics when the geometry does not divide into power-of-two sets, and
+    /// for one-byte pages, whose VPNs could collide with the empty-slot
+    /// sentinel.
     pub fn new(cfg: TlbConfig) -> Self {
         assert!(cfg.associativity > 0 && cfg.entries % cfg.associativity == 0);
         assert!(cfg.num_sets().is_power_of_two());
         assert!(cfg.page_bytes.is_power_of_two());
+        assert!(cfg.page_bytes > 1, "one-byte pages leave no VPN bit for the empty-slot sentinel");
         Self {
             cfg,
             page_shift: cfg.page_bytes.trailing_zeros(),
             set_mask: cfg.num_sets() - 1,
-            vpns: vec![0; cfg.entries as usize],
-            lru: vec![0; cfg.entries as usize],
-            clock: 0,
+            vpns: vec![EMPTY; cfg.entries as usize],
             stats: TlbStats::default(),
         }
     }
@@ -80,38 +83,19 @@ impl Tlb {
     /// Translates an address; returns `true` on TLB hit. Misses install the
     /// translation (after the implied page walk).
     pub fn translate(&mut self, addr: u64) -> bool {
-        self.clock += 1;
-        let vpn = addr >> self.page_shift;
-        let set = (vpn & self.set_mask) as usize;
-        let ways = self.cfg.associativity as usize;
-        let base = set * ways;
-        for w in 0..ways {
-            if self.lru[base + w] != 0 && self.vpns[base + w] == vpn {
-                self.lru[base + w] = self.clock;
-                self.stats.hits += 1;
-                return true;
-            }
+        let hit = self.translate_fast(addr);
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
         }
-        self.stats.misses += 1;
-        // Install, evicting the LRU way; an invalid way's zero stamp makes
-        // it the unconditional first-wins minimum.
-        let mut victim = base;
-        let mut best = u64::MAX;
-        for w in 0..ways {
-            if self.lru[base + w] < best {
-                best = self.lru[base + w];
-                victim = base + w;
-            }
-        }
-        self.vpns[victim] = vpn;
-        self.lru[victim] = self.clock;
-        false
+        hit
     }
 
     /// Translates a batch of addresses in order, returning the number of
     /// misses added. Equivalent to calling [`Tlb::translate`] per address —
     /// translation state depends only on the address sequence — but keeps
-    /// the loop over the dense SoA rows in one place.
+    /// the loop over the dense slot row in one place.
     pub fn translate_batch(&mut self, addrs: &[u64]) -> u64 {
         let before = self.stats.misses;
         for &addr in addrs {
@@ -120,61 +104,27 @@ impl Tlb {
         self.stats.misses - before
     }
 
-    /// Fast-path translation for the stream replay engine: the exact
-    /// hit/install/stamp behavior of [`Tlb::translate`] minus statistics
-    /// (tallied in bulk by the caller), in one scan over the set — the
-    /// first-wins LRU argmin is tracked alongside the hit check, so a miss
-    /// installs without rescanning.
+    /// [`Tlb::translate`] minus statistics, which the stream replay engine
+    /// tallies in bulk — the one per-set implementation behind both. A hit
+    /// moves the entry to slot 0; a miss moves the whole set down one slot,
+    /// dropping the LRU entry (or a free slot), and installs in slot 0.
     #[inline]
     pub(crate) fn translate_fast(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         let vpn = addr >> self.page_shift;
         let ways = self.cfg.associativity as usize;
         let base = (vpn & self.set_mask) as usize * ways;
-        let lru = &mut self.lru[base..base + ways];
-        let vpns = &mut self.vpns[base..base + ways];
-        let mut victim = 0;
-        let mut best = u64::MAX;
-        for (w, (stamp, &entry)) in lru.iter_mut().zip(vpns.iter()).enumerate() {
-            if *stamp != 0 && entry == vpn {
-                *stamp = self.clock;
-                return true;
-            }
-            if *stamp < best {
-                best = *stamp;
-                victim = w;
-            }
-        }
-        vpns[victim] = vpn;
-        lru[victim] = self.clock;
-        false
+        let set = &mut self.vpns[base..base + ways];
+        let slot = set.iter().position(|&entry| entry == vpn);
+        promote(set, slot.unwrap_or(ways - 1), vpn);
+        slot.is_some()
     }
 
-    /// Appends the behavioral state: per set, the valid-entry count then
-    /// VPNs in LRU-to-MRU stamp order. The TLB is always true-LRU, so its
-    /// canonical form needs no policy branch — contrast with the
-    /// policy-dependent forms in `Cache::canonical_into`.
+    /// Appends the behavioral state: the slot row itself, valid VPNs most
+    /// recent first in each set. The TLB is always true-LRU, so its
+    /// canonical form needs no policy branch — contrast with
+    /// `Cache::canonical_into`.
     pub(crate) fn canonical_into(&self, out: &mut Vec<u64>) {
-        let ways = self.cfg.associativity as usize;
-        let mut set_buf: Vec<(u64, u64)> = Vec::with_capacity(ways);
-        for set in 0..self.cfg.num_sets() as usize {
-            let base = set * ways;
-            set_buf.clear();
-            for w in 0..ways {
-                if self.lru[base + w] != 0 {
-                    set_buf.push((self.lru[base + w], self.vpns[base + w]));
-                }
-            }
-            set_buf.sort_unstable();
-            out.push(set_buf.len() as u64);
-            out.extend(set_buf.iter().map(|&(_, vpn)| vpn));
-        }
-    }
-
-    /// Advances the stamp clock as if `n` translations happened — used
-    /// when replay collapses steady-state passes without driving them.
-    pub(crate) fn advance_clock(&mut self, n: u64) {
-        self.clock += n;
+        out.extend_from_slice(&self.vpns);
     }
 
     /// Bulk statistics flush from the stream replay engine.
@@ -190,9 +140,7 @@ impl Tlb {
 
     /// Invalidates everything.
     pub fn reset(&mut self) {
-        self.vpns.fill(0);
-        self.lru.fill(0);
-        self.clock = 0;
+        self.vpns.fill(EMPTY);
         self.stats = TlbStats::default();
     }
 }
@@ -249,48 +197,105 @@ mod tests {
 }
 
 #[cfg(test)]
-mod fast_path_parity {
+mod differential {
     use super::*;
 
+    /// The stamp-and-clock TLB that slot order replaced, kept as the
+    /// oracle: a clock bumped on every translation, one LRU stamp per way
+    /// (zero marks an invalid way) and a first-wins stamp argmin victim.
+    struct StampTlb {
+        cfg: TlbConfig,
+        vpns: Vec<u64>,
+        lru: Vec<u64>,
+        clock: u64,
+        stats: TlbStats,
+    }
+
+    impl StampTlb {
+        fn translate(&mut self, addr: u64) -> bool {
+            self.clock += 1;
+            let vpn = addr / self.cfg.page_bytes;
+            let ways = self.cfg.associativity as usize;
+            let base = (vpn % self.cfg.num_sets()) as usize * ways;
+            let set = base..base + ways;
+            if let Some(i) = set.clone().find(|&i| self.lru[i] != 0 && self.vpns[i] == vpn) {
+                self.lru[i] = self.clock;
+                self.stats.hits += 1;
+                return true;
+            }
+            self.stats.misses += 1;
+            let victim = set.fold(base, |v, i| if self.lru[i] < self.lru[v] { i } else { v });
+            self.vpns[victim] = vpn;
+            self.lru[victim] = self.clock;
+            false
+        }
+
+        fn reset(&mut self) {
+            self.vpns.fill(0);
+            self.lru.fill(0);
+            self.clock = 0;
+            self.stats = TlbStats::default();
+        }
+    }
+
     #[test]
-    fn fused_translate_matches_reference() {
-        // 4 sets x 4 ways; 48 distinct pages overflow every set, while the
-        // skewed draw keeps a hot subset resident.
-        let cfg = TlbConfig { entries: 16, associativity: 4, page_bytes: 4096 };
-        for seed in [1u64, 0x9E37_79B9_7F4A_7C15, 0xDEAD_BEEF] {
-            let (mut reference, mut fast) = (Tlb::new(cfg), Tlb::new(cfg));
-            let mut state = seed;
+    fn slot_order_matches_the_stamp_model() {
+        for seed in 1..=60u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut next = |bound: u64| {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
                 state % bound
             };
-            let (mut hits, mut misses) = (0, 0);
-            for i in 0..5_000 {
-                let page = if next(4) != 0 { next(12) } else { next(48) };
-                let addr = page * 4096 + next(4096);
-                let fast_hit = fast.translate_fast(addr);
-                assert_eq!(fast_hit, reference.translate(addr), "seed {seed}: access {i}");
-                if fast_hit {
-                    hits += 1;
-                } else {
-                    misses += 1;
+            // 1–8 sets of 1–16 ways, 2 B–8 KiB pages.
+            let (sets, ways) = (1u32 << next(4), 1 + next(16) as u32);
+            let cfg =
+                TlbConfig { entries: sets * ways, associativity: ways, page_bytes: 2 << next(13) };
+            let mut tlb = Tlb::new(cfg);
+            let n = cfg.entries as usize;
+            let mut model = StampTlb {
+                cfg,
+                vpns: vec![0; n],
+                lru: vec![0; n],
+                clock: 0,
+                stats: TlbStats::default(),
+            };
+            let entries = u64::from(cfg.entries);
+            for i in 0..4_000 {
+                // A hot pool that fits plus a cold pool twice the capacity.
+                let page = if next(3) != 0 { next(entries) } else { next(3 * entries) };
+                let addr = page * cfg.page_bytes + next(cfg.page_bytes);
+                let at = format!("seed {seed} {cfg:?}: op {i} at {addr:#x}");
+                match next(100) {
+                    0 => {
+                        tlb.reset();
+                        model.reset();
+                    }
+                    1 | 2 => {
+                        tlb.reset_stats();
+                        model.stats = TlbStats::default();
+                    }
+                    3..=40 => {
+                        // The stream engine's shape: no per-access stats,
+                        // then a bulk flush.
+                        let hit = tlb.translate_fast(addr);
+                        tlb.add_stats(u64::from(hit), u64::from(!hit));
+                        assert_eq!(hit, model.translate(addr), "{at}: fast path");
+                    }
+                    _ => assert_eq!(tlb.translate(addr), model.translate(addr), "{at}"),
                 }
             }
-            assert!(hits > 0 && misses > 0, "stream must both hit and miss");
-            // The bulk flush the stream engine performs.
-            fast.add_stats(hits, misses);
-            assert_eq!(fast.stats, reference.stats, "seed {seed}: statistics");
-            let canonical = |t: &Tlb| {
-                let mut out = Vec::new();
-                t.canonical_into(&mut out);
-                out
-            };
-            assert_eq!(canonical(&fast), canonical(&reference), "seed {seed}: state");
-            assert_eq!(fast.vpns, reference.vpns, "seed {seed}: VPNs");
-            assert_eq!(fast.lru, reference.lru, "seed {seed}: stamps");
-            assert_eq!(fast.clock, reference.clock, "seed {seed}: clock");
+            assert_eq!(tlb.stats, model.stats, "seed {seed}: statistics");
+            let valid = tlb.vpns.iter().filter(|&&vpn| vpn != EMPTY).count();
+            let model_valid = model.lru.iter().filter(|&&stamp| stamp != 0).count();
+            assert_eq!(valid, model_valid, "seed {seed}: valid entries");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty-slot sentinel")]
+    fn one_byte_pages_are_rejected() {
+        Tlb::new(TlbConfig { entries: 4, associativity: 4, page_bytes: 1 });
     }
 }
