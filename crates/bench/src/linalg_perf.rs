@@ -1,7 +1,7 @@
 //! Factor-once/solve-many performance snapshot (`BENCH_linalg.json`).
 //!
 //! Measures the analysis hot path's least-squares engine on the CPU-FLOPs
-//! basis shape (48 points x 16 events): repeated one-shot [`lstsq`] calls
+//! basis shape (48 points x 16 events): repeated one-shot [`lstsq()`] calls
 //! versus one [`FactoredLstsq`] workspace serving the whole batch through
 //! `solve_many`. The snapshot also verifies the two paths agree bit for bit
 //! and reports the factorization-reuse counters, so a regression in either

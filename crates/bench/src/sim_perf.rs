@@ -11,14 +11,12 @@
 //! A second section sweeps the replacement-policy × prefetch matrix
 //! (lru/plru/random × off/on) on the data-cache domain with the stock
 //! geometry rebuilt per policy, reporting per configuration whether the
-//! replay engine took the stream fast path (`fast_path`) and whether the
-//! engines stayed byte-identical — the robustness-sweep configurations
-//! that used to fall back to the reference loop.
+//! engines stayed byte-identical on the robustness-sweep configurations.
 //!
 //! CI gates on this artifact: `run/dcache` and `run/dstore` must not
 //! regress more than 1.3x over the committed snapshot, the dstore replay
 //! speedup must stay ≥ 5x, and every `bit_identical` flag (domain and
-//! policy rows) plus every policy row's `fast_path` flag must hold.
+//! policy rows) must hold.
 
 use crate::Scale;
 use catalyze_cat::{Domain, MeasurementSet, RunnerConfig, SimEngine, SimRequest};
@@ -146,14 +144,13 @@ pub fn sim_snapshot(scale: Scale) -> String {
             replay.replay_ns,
         ));
     }
-    // Policy rows certify engine choice and parity, not timing precision,
+    // Policy rows certify parity, not timing precision,
     // so a single repetition per configuration suffices.
     let mut policy_rows = Vec::new();
     for (policy, label) in POLICIES {
         for prefetch in [false, true] {
             let mut pcfg = cfg;
             pcfg.core = core_with_policy(cfg.core, policy, prefetch);
-            let fast_path = pcfg.core.hierarchy.fast_path_eligible().is_ok();
             let direct = best_engine_run(1, Domain::Dcache, &set, &pcfg, SimEngine::Direct);
             let replay = best_engine_run(1, Domain::Dcache, &set, &pcfg, SimEngine::Replay);
             let identical = serde_json::to_string(&direct.ms).unwrap_or_default()
@@ -161,7 +158,7 @@ pub fn sim_snapshot(scale: Scale) -> String {
             let speedup = direct.simulate_ns as f64 / replay.simulate_ns.max(1) as f64;
             policy_rows.push(format!(
                 "{{\"policy\":\"{label}\",\"prefetch\":{prefetch},\
-                 \"fast_path\":{fast_path},\"direct_ns\":{},\"replay_ns\":{},\
+                 \"direct_ns\":{},\"replay_ns\":{},\
                  \"speedup\":{speedup:.3},\"bit_identical\":{identical}}}",
                 direct.simulate_ns, replay.simulate_ns,
             ));
@@ -200,8 +197,8 @@ mod tests {
         let dcache = rows.iter().find(|r| r["domain"].as_str() == Some("dcache")).unwrap();
         assert!(dcache.get("record_phase_ns").is_none());
         assert!(dcache["replay_phase_ns"].as_u64().unwrap() > 0);
-        // Every robustness-sweep configuration takes the fast path and
-        // keeps the engines byte-identical.
+        // Every robustness-sweep configuration keeps the engines
+        // byte-identical.
         let policies = parsed["policies"].as_array().unwrap();
         assert_eq!(policies.len(), POLICIES.len() * 2);
         for row in policies {
@@ -210,7 +207,6 @@ mod tests {
                 row["policy"].as_str().unwrap(),
                 row["prefetch"].as_bool().unwrap()
             );
-            assert_eq!(row["fast_path"].as_bool(), Some(true), "{tag} fell off the fast path");
             assert_eq!(row["bit_identical"].as_bool(), Some(true), "{tag} engines diverged");
             assert!(row["direct_ns"].as_u64().unwrap() > 0, "{tag}");
             assert!(row["replay_ns"].as_u64().unwrap() > 0, "{tag}");

@@ -11,8 +11,9 @@
 //!   across L1/L2/L3/memory (paper §III-E, Figure 3);
 //! * [`flops_gpu`] — GPU kernels for add/sub/mul/sqrt/FMA in half, single,
 //!   and double precision (paper §III-C);
-//! * [`runner`] — the measurement orchestrator: warmup, counter-group
-//!   multiplexing, repetitions, per-thread medians, and normalization;
+//! * the `measure_*` runners ([`measure_dcache`] and its siblings) — the
+//!   measurement orchestrator: warmup, counter-group multiplexing,
+//!   repetitions, per-thread medians, and normalization;
 //! * [`request`] — the unified [`SimRequest`] builder over all domains,
 //!   with typed configuration validation and engine selection;
 //! * [`data`] — the serializable measurement format handed to the analysis;
@@ -47,12 +48,6 @@ pub use request::{ConfigError, Domain, RunError, RunnerConfigBuilder, SimEngine,
 pub use runner::{
     measure_branch, measure_cpu_flops, measure_dcache, measure_dcache_threads, measure_dstore,
     measure_dtlb, measure_gpu_flops, median_across_threads, RunnerConfig,
-};
-#[allow(deprecated)]
-pub use runner::{
-    run_branch, run_branch_obs, run_cpu_flops, run_cpu_flops_obs, run_dcache, run_dcache_obs,
-    run_dcache_per_thread, run_dstore, run_dstore_obs, run_dtlb, run_dtlb_obs, run_gpu_flops,
-    run_gpu_flops_obs,
 };
 pub use validate::{
     validate_gpu_presets, validate_presets, validation_workload, ValidationOutcome,

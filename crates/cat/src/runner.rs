@@ -14,8 +14,8 @@
 //!   (GPU), or per access (cache), so they are directly comparable to the
 //!   expectation bases.
 //!
-//! The preferred entry point is [`crate::SimRequest`]; the `measure_*`
-//! functions here are the canonical per-domain runners it dispatches to.
+//! The entry points are [`crate::SimRequest`] and the `measure_*`
+//! functions here, the per-domain runners it dispatches to.
 //! Each CPU domain runs on one of two engines ([`SimEngine`]): the default
 //! `Replay` engine runs every sweep point as one parallel task that builds
 //! the point's program, records it once as a [`KernelTrace`] and replays
@@ -31,7 +31,7 @@ use crate::data::MeasurementSet;
 use crate::request::SimEngine;
 use crate::{branch, dcache, flops_cpu, flops_gpu};
 use catalyze_events::EventId;
-use catalyze_obs::{NoopObserver, Observer, Span};
+use catalyze_obs::{Observer, Span};
 use catalyze_sim::{
     CoreConfig, Cpu, CpuEventSet, CpuPmu, ExecStats, GpuConfig, GpuDevice, GpuEventSet, GpuStats,
     KernelTrace, PmuConfig, Program, StreamStats,
@@ -114,20 +114,11 @@ fn record_runner_counters(obs: &dyn Observer, points: usize, events: usize, repe
 ///
 /// Exactly one labelled counter is bumped by 1 per run, so summed traces
 /// count runs per engine: `runner.engine.direct` for `Direct` reference
-/// execution, `runner.engine.replay` for `Replay` taking the stream fast
-/// path, `runner.engine.fallback` for `Replay` falling back to the
-/// reference per-access loop (the hierarchy failed `fast_path_eligible`,
-/// e.g. pseudo-LRU wider than 32 ways).
-fn record_engine_counters(
-    obs: &dyn Observer,
-    core: &CoreConfig,
-    engine: SimEngine,
-    stream: StreamStats,
-) {
+/// execution, `runner.engine.replay` for `Replay`.
+fn record_engine_counters(obs: &dyn Observer, engine: SimEngine, stream: StreamStats) {
     let name = match engine {
         SimEngine::Direct => "runner.engine.direct",
-        SimEngine::Replay if core.hierarchy.fast_path_eligible().is_ok() => "runner.engine.replay",
-        SimEngine::Replay => "runner.engine.fallback",
+        SimEngine::Replay => "runner.engine.replay",
     };
     obs.counter(name, 1);
     obs.counter("stream.memo_hits", stream.memo_hits);
@@ -313,7 +304,7 @@ pub(crate) fn cpu_flops_with_engine(
         read_all_cpu(set, &pmu, &stats, &norms, cfg.repetitions, 0)
     };
     record_runner_counters(obs, points.len(), set.len(), cfg.repetitions);
-    record_engine_counters(obs, &cfg.core, engine, stream);
+    record_engine_counters(obs, engine, stream);
     MeasurementSet {
         domain: "cpu-flops".into(),
         point_labels: flops_cpu::point_labels(),
@@ -353,7 +344,7 @@ pub(crate) fn branch_with_engine(
         read_all_cpu(set, &pmu, &stats, &norms, cfg.repetitions, 0)
     };
     record_runner_counters(obs, kernels.len(), set.len(), cfg.repetitions);
-    record_engine_counters(obs, &cfg.core, engine, stream);
+    record_engine_counters(obs, engine, stream);
     MeasurementSet {
         domain: "branch".into(),
         point_labels: branch::point_labels(),
@@ -413,7 +404,7 @@ pub(crate) fn dcache_threads_with_engine(
         let _s = Span::enter(obs, "simulate");
         dcache_sweep(cfg, &configs, obs, engine)
     };
-    record_engine_counters(obs, &cfg.core, engine, stream);
+    record_engine_counters(obs, engine, stream);
     let norms: Vec<f64> =
         configs.iter().map(|c| (c.pointers * dcache::MEASURE_PASSES) as f64).collect();
     let pmu = CpuPmu::new(cfg.pmu);
@@ -514,7 +505,7 @@ pub(crate) fn dtlb_with_engine(
         read_all_cpu(set, &pmu, &stats, &norms, cfg.repetitions, 0)
     };
     record_runner_counters(obs, configs.len(), set.len(), cfg.repetitions);
-    record_engine_counters(obs, &cfg.core, engine, stream);
+    record_engine_counters(obs, engine, stream);
     MeasurementSet {
         domain: "dtlb".into(),
         point_labels: crate::dtlb::point_labels(&tlb),
@@ -558,7 +549,7 @@ pub(crate) fn dstore_with_engine(
         read_all_cpu(set, &pmu, &stats, &norms, cfg.repetitions, 0)
     };
     record_runner_counters(obs, configs.len(), set.len(), cfg.repetitions);
-    record_engine_counters(obs, &cfg.core, engine, stream);
+    record_engine_counters(obs, engine, stream);
     MeasurementSet {
         domain: "dstore".into(),
         point_labels: crate::dstore::point_labels(&h),
@@ -622,100 +613,10 @@ pub fn measure_gpu_flops(
     }
 }
 
-// --- Deprecated pre-SimRequest entry points -------------------------------
-//
-// The twelve `run_*`/`run_*_obs` pairs collapsed into the observer-taking
-// `measure_*` functions above; these shims keep old callers compiling.
-
-/// Runs the CPU-FLOPs benchmark.
-#[deprecated(since = "0.9.0", note = "use `measure_cpu_flops` or `SimRequest`")]
-pub fn run_cpu_flops(set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
-    measure_cpu_flops(set, cfg, &NoopObserver)
-}
-
-/// Runs the CPU-FLOPs benchmark with structured observability.
-#[deprecated(since = "0.9.0", note = "use `measure_cpu_flops` or `SimRequest`")]
-pub fn run_cpu_flops_obs(
-    set: &CpuEventSet,
-    cfg: &RunnerConfig,
-    obs: &dyn Observer,
-) -> MeasurementSet {
-    measure_cpu_flops(set, cfg, obs)
-}
-
-/// Runs the branching benchmark.
-#[deprecated(since = "0.9.0", note = "use `measure_branch` or `SimRequest`")]
-pub fn run_branch(set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
-    measure_branch(set, cfg, &NoopObserver)
-}
-
-/// Runs the branching benchmark with structured observability.
-#[deprecated(since = "0.9.0", note = "use `measure_branch` or `SimRequest`")]
-pub fn run_branch_obs(set: &CpuEventSet, cfg: &RunnerConfig, obs: &dyn Observer) -> MeasurementSet {
-    measure_branch(set, cfg, obs)
-}
-
-/// Runs the data-cache benchmark with per-thread medians.
-#[deprecated(since = "0.9.0", note = "use `measure_dcache` or `SimRequest`")]
-pub fn run_dcache(set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
-    measure_dcache(set, cfg, &NoopObserver)
-}
-
-/// Runs the data-cache benchmark with structured observability.
-#[deprecated(since = "0.9.0", note = "use `measure_dcache` or `SimRequest`")]
-pub fn run_dcache_obs(set: &CpuEventSet, cfg: &RunnerConfig, obs: &dyn Observer) -> MeasurementSet {
-    measure_dcache(set, cfg, obs)
-}
-
-/// Runs the data-cache benchmark keeping every thread's measurements.
-#[deprecated(since = "0.9.0", note = "use `measure_dcache_threads`")]
-pub fn run_dcache_per_thread(set: &CpuEventSet, cfg: &RunnerConfig) -> Vec<MeasurementSet> {
-    measure_dcache_threads(set, cfg, &NoopObserver)
-}
-
-/// Runs the data-TLB benchmark.
-#[deprecated(since = "0.9.0", note = "use `measure_dtlb` or `SimRequest`")]
-pub fn run_dtlb(set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
-    measure_dtlb(set, cfg, &NoopObserver)
-}
-
-/// Runs the data-TLB benchmark with structured observability.
-#[deprecated(since = "0.9.0", note = "use `measure_dtlb` or `SimRequest`")]
-pub fn run_dtlb_obs(set: &CpuEventSet, cfg: &RunnerConfig, obs: &dyn Observer) -> MeasurementSet {
-    measure_dtlb(set, cfg, obs)
-}
-
-/// Runs the store-path cache benchmark.
-#[deprecated(since = "0.9.0", note = "use `measure_dstore` or `SimRequest`")]
-pub fn run_dstore(set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
-    measure_dstore(set, cfg, &NoopObserver)
-}
-
-/// Runs the store-path cache benchmark with structured observability.
-#[deprecated(since = "0.9.0", note = "use `measure_dstore` or `SimRequest`")]
-pub fn run_dstore_obs(set: &CpuEventSet, cfg: &RunnerConfig, obs: &dyn Observer) -> MeasurementSet {
-    measure_dstore(set, cfg, obs)
-}
-
-/// Runs the GPU-FLOPs benchmark.
-#[deprecated(since = "0.9.0", note = "use `measure_gpu_flops` or `SimRequest`")]
-pub fn run_gpu_flops(set: &GpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
-    measure_gpu_flops(set, cfg, &NoopObserver)
-}
-
-/// Runs the GPU-FLOPs benchmark with structured observability.
-#[deprecated(since = "0.9.0", note = "use `measure_gpu_flops` or `SimRequest`")]
-pub fn run_gpu_flops_obs(
-    set: &GpuEventSet,
-    cfg: &RunnerConfig,
-    obs: &dyn Observer,
-) -> MeasurementSet {
-    measure_gpu_flops(set, cfg, obs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catalyze_obs::NoopObserver;
     use catalyze_sim::{mi250x_like, sapphire_rapids_like};
 
     #[test]
@@ -810,10 +711,9 @@ mod tests {
         assert_eq!(trace.counter_value("runner.points"), Some(11));
         assert_eq!(trace.counter_value("runner.repetitions"), Some(3));
         assert!(trace.counter_value("runner.events").unwrap() > 0);
-        // Default engine is Replay with an eligible hierarchy: one run.
+        // Default engine is Replay: one run.
         assert_eq!(trace.counter_value("runner.engine.replay"), Some(1));
         assert_eq!(trace.counter_value("runner.engine.direct"), None);
-        assert_eq!(trace.counter_value("runner.engine.fallback"), None);
         assert!(trace.counter_value("stream.memo_hits").is_some());
         assert!(trace.counter_value("stream.memo_misses").is_some());
         assert!(trace.counter_value("stream.passes_collapsed").is_some());

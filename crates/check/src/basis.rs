@@ -10,7 +10,7 @@
 //! | B005 | Error    | two identical expectation columns |
 //! | B006 | Error    | row count disagrees with the kernel space |
 //! | B007 | Error    | numerically rank-deficient basis (SVD) |
-//! | B008 | Warning  | condition number above [`CONDITION_LIMIT`] |
+//! | B008 | Warning  | condition number above `CONDITION_LIMIT` |
 //! | B009 | Error    | non-finite entry in the basis matrix |
 
 use crate::diag::{Diagnostic, Severity};

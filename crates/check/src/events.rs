@@ -7,7 +7,7 @@
 //! | C002 | Error    | event carries duplicate qualifier keys |
 //! | C003 | Error    | two catalog entries share one name |
 //! | C004 | Error    | preset term references an event absent from the catalog |
-//! | C005 | Warning  | preset coefficient with magnitude below [`COEFF_EPS`] |
+//! | C005 | Warning  | preset coefficient with magnitude below `COEFF_EPS` |
 //! | C006 | Warning  | preset with no terms |
 //! | C007 | Error    | preset backward error is negative or non-finite |
 //! | C008 | Warning  | catalog entry with an empty description |

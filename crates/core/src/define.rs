@@ -181,6 +181,7 @@ mod tests {
 
     #[test]
     fn composable_branch_metrics_reproduce_table7() {
+        let _turn = crate::linalg_turn();
         let sel = branch_selection();
         let metrics = define_metrics(&sel, &branch_signatures(), 0.02).unwrap();
         assert_eq!(metrics.len(), 7);
@@ -222,6 +223,7 @@ mod tests {
 
     #[test]
     fn rounded_error_present_when_all_round() {
+        let _turn = crate::linalg_turn();
         let sel = branch_selection();
         let metrics = define_metrics(&sel, &branch_signatures(), 0.05).unwrap();
         let taken = metrics.iter().find(|m| m.metric.contains("Taken.")).unwrap();
@@ -231,6 +233,7 @@ mod tests {
 
     #[test]
     fn unrounded_coefficients_yield_no_rounded_error() {
+        let _turn = crate::linalg_turn();
         // Regression for the reachable-panic fix: the all-Some check used
         // to be an `if all()` guarding an `.expect()`; it is now a
         // short-circuiting Option collection. A zero tolerance leaves
@@ -250,6 +253,7 @@ mod tests {
 
     #[test]
     fn preset_export_drops_zero_terms() {
+        let _turn = crate::linalg_turn();
         let sel = branch_selection();
         let metrics = define_metrics(&sel, &branch_signatures(), 0.02).unwrap();
         let misp = metrics.iter().find(|m| m.metric.starts_with("Mispredicted")).unwrap();
@@ -287,6 +291,7 @@ mod tests {
 
     #[test]
     fn mismatched_signature_dimension_is_an_error() {
+        let _turn = crate::linalg_turn();
         let sel = branch_selection();
         let x_hat = sel.x_hat().unwrap();
         let bad = MetricSignature::new("Bad", vec![1.0; 3]);
@@ -299,6 +304,7 @@ mod tests {
 
     #[test]
     fn empty_selection_defines_nothing() {
+        let _turn = crate::linalg_turn();
         let sel = Selection { events: vec![], alpha: 5e-4, candidates: 0 };
         assert!(define_metrics(&sel, &branch_signatures(), 0.02).unwrap().is_empty());
     }

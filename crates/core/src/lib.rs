@@ -71,7 +71,16 @@ pub use define::DefinedMetric;
 pub use error::AnalysisError;
 pub use noise::{max_rnmse, NoiseReport};
 pub use normalize::Representation;
-pub use pipeline::{analyze, AnalysisConfig, AnalysisReport, AnalysisRequest};
+pub use pipeline::{AnalysisConfig, AnalysisReport, AnalysisRequest};
 pub use select::Selection;
 pub use signature::MetricSignature;
 pub use validate_basis::{validate_basis, BasisIssue};
+
+/// Serializes the unit tests that run counted linalg kernels. The kernel
+/// counters are process-wide, so a test asserting exact per-stage counts
+/// must not share the process with another analysis in flight.
+#[cfg(test)]
+pub(crate) fn linalg_turn() -> std::sync::MutexGuard<'static, ()> {
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}

@@ -114,6 +114,7 @@ mod tests {
 
     #[test]
     fn exact_expectation_is_represented_exactly() {
+        let _turn = crate::linalg_turn();
         let b = branch_basis();
         // The CR column itself.
         let cr: Vec<f64> = (0..11).map(|i| b.matrix[(i, 1)]).collect();
@@ -131,6 +132,7 @@ mod tests {
 
     #[test]
     fn linear_combination_is_represented() {
+        let _turn = crate::linalg_turn();
         let b = branch_basis();
         // ALL_BRANCHES = CR + D.
         let all: Vec<f64> = (0..11).map(|i| b.matrix[(i, 1)] + b.matrix[(i, 3)]).collect();
@@ -143,6 +145,7 @@ mod tests {
 
     #[test]
     fn unrepresentable_event_is_rejected() {
+        let _turn = crate::linalg_turn();
         let b = cpu_flops_basis();
         // Constant loop-overhead vector: not in the span of 24/48/96 triples.
         let constant = vec![2.0; 48];
@@ -154,6 +157,7 @@ mod tests {
 
     #[test]
     fn fp_event_with_fma_double_count_is_represented() {
+        let _turn = crate::linalg_turn();
         let b = cpu_flops_basis();
         // SCALAR_DOUBLE: DSCAL triple at 24/48/96 plus DSCAL_FMA triple at
         // 2 x (12/24/48) = 24/48/96.
@@ -173,6 +177,7 @@ mod tests {
 
     #[test]
     fn x_matrix_assembles_columns() {
+        let _turn = crate::linalg_turn();
         let b = branch_basis();
         let cr: Vec<f64> = (0..11).map(|i| b.matrix[(i, 1)]).collect();
         let t: Vec<f64> = (0..11).map(|i| b.matrix[(i, 2)]).collect();
@@ -186,6 +191,7 @@ mod tests {
 
     #[test]
     fn wrong_length_is_an_error() {
+        let _turn = crate::linalg_turn();
         let b = branch_basis();
         let err = represent(&b, &[(0, "bad".into(), vec![1.0; 3])], 0.1).unwrap_err();
         assert!(matches!(err, LinalgError::ShapeMismatch { .. }), "got {err:?}");

@@ -2,11 +2,10 @@
 //! representation → specialized-QRCP selection → least-squares metric
 //! definition.
 //!
-//! [`AnalysisRequest`] is the primary entry point — a borrowing builder
-//! that validates its input shapes, threads an [`Observer`] through every
+//! [`AnalysisRequest`] is the entry point — a borrowing builder that
+//! validates its input shapes, threads an [`Observer`] through every
 //! stage (spans, per-stage funnel records, linalg solve counters), and
-//! returns recoverable [`AnalysisError`]s. [`analyze`] remains as the
-//! original thin entry point over it.
+//! returns recoverable [`AnalysisError`]s.
 
 use crate::basis::Basis;
 use crate::define::{define_metrics, DefinedMetric};
@@ -15,7 +14,7 @@ use crate::noise::{analyze_noise, NoiseReport};
 use crate::normalize::{represent, Representation};
 use crate::select::{select_events, Selection};
 use crate::signature::MetricSignature;
-use catalyze_linalg::{stats, LinalgError};
+use catalyze_linalg::stats;
 use catalyze_obs::{FunnelRecord, NoopObserver, Observer, Span};
 use serde::{Deserialize, Serialize};
 
@@ -426,51 +425,6 @@ impl<'a> AnalysisRequest<'a> {
     }
 }
 
-/// Runs the full pipeline (the original entry point, now a thin shim over
-/// [`AnalysisRequest`]).
-///
-/// * `domain` — label for the report;
-/// * `names` — event names, aligned with the event axis of `runs`;
-/// * `runs` — `runs[r][e][p]`: normalized measurement of event `e` at point
-///   `p` in repetition `r` (the layout of `catalyze-cat`'s
-///   `MeasurementSet`);
-/// * `basis` — the domain's expectation basis (`points` must match `p`);
-/// * `signatures` — the metrics to define.
-///
-/// # Errors
-///
-/// Propagates linear-algebra failures from the representation and
-/// selection stages (shape mismatches, non-finite measurements, a
-/// rank-deficient basis).
-///
-/// # Panics
-///
-/// Keeps the legacy contract: mis-shaped `names`/`runs` arguments panic.
-/// Use [`AnalysisRequest`] to get every shape problem back as a
-/// recoverable [`AnalysisError`] instead.
-pub fn analyze(
-    domain: &str,
-    names: &[String],
-    runs: &[Vec<Vec<f64>>],
-    basis: &Basis,
-    signatures: &[MetricSignature],
-    config: AnalysisConfig,
-) -> Result<AnalysisReport, LinalgError> {
-    let request = AnalysisRequest::new()
-        .domain(domain)
-        .events(names)
-        .runs(runs)
-        .basis(basis)
-        .signatures(signatures)
-        .config(config);
-    match request.run() {
-        Ok(report) => Ok(report),
-        Err(AnalysisError::Linalg(e)) => Err(e),
-        // lint: allow(panic): the legacy entry point documents its panic on mis-shaped input
-        Err(e) => panic!("analyze: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,6 +470,7 @@ mod tests {
 
     #[test]
     fn full_pipeline_on_synthetic_branch_data() {
+        let _turn = crate::linalg_turn();
         let (names, runs) = synthetic_branch_runs();
         let report = AnalysisRequest::new()
             .domain("branch")
@@ -547,6 +502,7 @@ mod tests {
 
     #[test]
     fn traced_run_records_spans_funnel_and_counters() {
+        let _turn = crate::linalg_turn();
         let (names, runs) = synthetic_branch_runs();
         let trace = TraceCollector::new();
         let report = AnalysisRequest::new()
@@ -627,13 +583,6 @@ mod tests {
             matches!(err, AnalysisError::Shape { expected: 11, got: 4, .. }),
             "points vs basis rows: {err:?}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "no measurement runs")]
-    fn legacy_analyze_keeps_panicking_on_empty_runs() {
-        let _ =
-            analyze("x", &[], &[], &branch_basis(), &branch_signatures(), AnalysisConfig::branch());
     }
 
     #[test]

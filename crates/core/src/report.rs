@@ -190,6 +190,7 @@ mod tests {
     use crate::signature::branch_signatures;
 
     fn report() -> AnalysisReport {
+        let _turn = crate::linalg_turn();
         let b = branch_basis();
         let col = |j: usize| -> Vec<f64> { (0..11).map(|i| b.matrix[(i, j)]).collect() };
         let all: Vec<f64> = (0..11).map(|i| b.matrix[(i, 1)] + b.matrix[(i, 3)]).collect();

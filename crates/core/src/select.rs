@@ -115,6 +115,7 @@ mod tests {
 
     #[test]
     fn selects_the_four_independent_branch_events() {
+        let _turn = crate::linalg_turn();
         let rep = branch_rep();
         let sel = select_events(&rep, 5e-4).unwrap();
         assert_eq!(sel.candidates, 5);
@@ -129,6 +130,7 @@ mod tests {
 
     #[test]
     fn unit_basis_events_selected_before_combinations() {
+        let _turn = crate::linalg_turn();
         let rep = branch_rep();
         let sel = select_events(&rep, 5e-4).unwrap();
         // The three unit-vector representations (score 1) come first;
@@ -139,6 +141,7 @@ mod tests {
 
     #[test]
     fn x_hat_shape() {
+        let _turn = crate::linalg_turn();
         let rep = branch_rep();
         let sel = select_events(&rep, 5e-4).unwrap();
         let xh = sel.x_hat().unwrap();
@@ -148,6 +151,7 @@ mod tests {
 
     #[test]
     fn empty_representation_empty_selection() {
+        let _turn = crate::linalg_turn();
         let rep = Representation { kept: vec![], rejected: vec![], threshold: 0.1 };
         let sel = select_events(&rep, 5e-4).unwrap();
         assert!(sel.events.is_empty());
@@ -162,6 +166,7 @@ mod condition_tests {
 
     #[test]
     fn condition_number_of_clean_selection_is_modest() {
+        let _turn = crate::linalg_turn();
         let b = crate::basis::branch_basis();
         let col = |j: usize| -> Vec<f64> { (0..11).map(|i| b.matrix[(i, j)]).collect() };
         let all: Vec<f64> = (0..11).map(|i| b.matrix[(i, 1)] + b.matrix[(i, 3)]).collect();

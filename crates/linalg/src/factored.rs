@@ -3,7 +3,7 @@
 //! Both hot stages of the analysis pipeline solve many least-squares
 //! problems against *one* matrix: representation solves `E·x_e = m_e` once
 //! per surviving event, metric definition solves `X̂·y = s` once per
-//! signature. The one-shot [`crate::lstsq`] entry point re-runs a full
+//! signature. The one-shot [`crate::lstsq()`] entry point re-runs a full
 //! Householder QR *and* a Jacobi-SVD spectral norm of that same matrix on
 //! every call. [`FactoredLstsq`] is the workspace that amortizes both: it
 //! factors `A` once at construction, lazily computes `‖A‖₂` once, and then
@@ -109,7 +109,7 @@ impl<'a> FactoredLstsq<'a> {
         Ok(n)
     }
 
-    /// Validates one right-hand side exactly as the one-shot [`crate::lstsq`]
+    /// Validates one right-hand side exactly as the one-shot [`crate::lstsq()`]
     /// does (same error variants and contexts).
     fn validate_rhs(&self, b: &[f64]) -> Result<()> {
         if b.len() != self.rows() {
@@ -142,7 +142,7 @@ impl<'a> FactoredLstsq<'a> {
     ///
     /// # Errors
     ///
-    /// The one-shot [`crate::lstsq`] errors: [`LinalgError::ShapeMismatch`]
+    /// The one-shot [`crate::lstsq()`] errors: [`LinalgError::ShapeMismatch`]
     /// / [`LinalgError::NonFinite`] for a mis-shaped or non-finite `b`,
     /// [`LinalgError::Singular`] when `A` is rank deficient.
     // lint: contract(deterministic)
@@ -188,7 +188,7 @@ impl<'a> FactoredLstsq<'a> {
     /// [`Qr::apply_qt_panel`]), then each column is back-substituted and
     /// diagnosed. Batches above the `1 << 20` work threshold run
     /// column-parallel across the rayon pool; solutions are bit-identical
-    /// to calling [`FactoredLstsq::solve`] (and therefore [`crate::lstsq`])
+    /// to calling [`FactoredLstsq::solve`] (and therefore [`crate::lstsq()`])
     /// once per right-hand side either way.
     ///
     /// Every right-hand side is validated before any work starts, so a
@@ -243,7 +243,7 @@ impl<'a> FactoredLstsq<'a> {
 
 /// Back-substitutes one transformed right-hand side and computes the
 /// one-shot path's diagnostics — the same expressions in the same order, so
-/// the result is bit-identical to [`crate::lstsq`].
+/// the result is bit-identical to [`crate::lstsq()`].
 fn finish_column(
     r: &Matrix,
     a: &Matrix,

@@ -35,11 +35,11 @@ pub enum Kernel {
     /// Unpivoted Householder QR ([`crate::Qr::factor`]), including the
     /// factorizations performed inside least-squares solves.
     Qr,
-    /// Classical max-norm column-pivoted QR ([`crate::qrcp`]).
+    /// Classical max-norm column-pivoted QR ([`crate::qrcp()`]).
     Qrcp,
     /// The paper's specialized column-pivoted QR ([`crate::specialized_qrcp`]).
     SpQrcp,
-    /// Least-squares solve with diagnostics ([`crate::lstsq`]), whether
+    /// Least-squares solve with diagnostics ([`crate::lstsq()`]), whether
     /// one-shot or through a [`crate::FactoredLstsq`] workspace.
     Lstsq,
     /// Spectral-norm computation ([`crate::spectral_norm`]), the Jacobi-SVD
@@ -76,7 +76,7 @@ pub struct Snapshot {
     pub spqrcp_nanos: u64,
     /// Least-squares solves.
     pub lstsq_solves: u64,
-    /// Nanoseconds spent in least-squares solves. One-shot [`crate::lstsq`]
+    /// Nanoseconds spent in least-squares solves. One-shot [`crate::lstsq()`]
     /// factors inside [`crate::FactoredLstsq::factor`] before the solve
     /// timer starts, so QR time is accumulated in `qr_nanos` only.
     pub lstsq_nanos: u64,

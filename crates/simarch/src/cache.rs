@@ -20,7 +20,8 @@ pub enum ReplacementPolicy {
     /// True least-recently-used.
     #[default]
     Lru,
-    /// Binary-tree pseudo-LRU (associativity must be a power of two).
+    /// Binary-tree pseudo-LRU (associativity must be a power of two, at
+    /// most 64).
     TreePlru,
     /// Deterministic pseudo-random victim (xorshift on an internal state).
     Random,
@@ -54,7 +55,7 @@ impl CacheConfig {
     ///
     /// # Panics
     /// Panics on invalid geometry, or when `TreePlru` is requested with a
-    /// non-power-of-two associativity.
+    /// non-power-of-two associativity or more than 64 ways.
     pub fn with_policy(
         size_bytes: u64,
         line_bytes: u64,
@@ -66,12 +67,19 @@ impl CacheConfig {
             size_bytes % (line_bytes * u64::from(associativity)) == 0,
             "size must divide into sets"
         );
-        if policy == ReplacementPolicy::TreePlru {
-            assert!(associativity.is_power_of_two(), "tree pLRU needs power-of-two ways");
-        }
         let cfg = Self { size_bytes, line_bytes, associativity, policy };
+        cfg.assert_plru_tree_fits();
         assert!(cfg.num_sets().is_power_of_two(), "set count must be a power of two");
         cfg
+    }
+
+    /// Under `TreePlru`, the ways must be the leaves of a complete binary
+    /// tree whose internal nodes fit the per-set `u64` bit word.
+    fn assert_plru_tree_fits(&self) {
+        if self.policy == ReplacementPolicy::TreePlru {
+            assert!(self.associativity.is_power_of_two(), "tree pLRU needs power-of-two ways");
+            assert!(self.associativity <= 64, "tree pLRU supports at most 64 ways");
+        }
     }
 
     /// Number of sets.
@@ -146,7 +154,7 @@ pub(crate) const EMPTY: u64 = u64::MAX;
 /// One level of set-associative cache.
 ///
 /// A set's state is its slot order. `tags` holds `ways` slots per set,
-/// indexed `set * ways + slot`, with [`EMPTY`] in free slots. Every policy
+/// indexed `set * ways + slot`, with `EMPTY` in free slots. Every policy
 /// fills the first free slot and nothing invalidates a single line, so a
 /// set's valid lines are always a prefix of its slots.
 ///
@@ -169,7 +177,8 @@ pub struct Cache {
     /// Line tags, `set * ways + slot` layout; [`EMPTY`] marks a free slot.
     tags: Vec<u64>,
     /// Tree-pLRU state: one bit-tree word per set, kept under TreePlru only.
-    plru: Vec<u32>,
+    /// A `u64` holds the 63 internal nodes of a 64-way tree.
+    plru: Vec<u64>,
     /// Xorshift state for the random policy.
     rng_state: u64,
     /// Accumulated statistics.
@@ -180,13 +189,16 @@ impl Cache {
     /// Creates an empty (all-invalid) cache.
     ///
     /// # Panics
-    /// Panics when the line size or set count is not a power of two (the
-    /// [`CacheConfig`] constructors already enforce this; the assert guards
-    /// configs built as struct literals), and for one-byte lines in a single
-    /// set, whose tags could collide with the empty-slot sentinel.
+    /// Panics when the line size or set count is not a power of two, or a
+    /// `TreePlru` level has a non-power-of-two associativity or more than
+    /// 64 ways (the [`CacheConfig`] constructors already enforce these; the
+    /// asserts guard configs built as struct literals), and for one-byte
+    /// lines in a single set, whose tags could collide with the empty-slot
+    /// sentinel.
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.line_bytes.is_power_of_two(), "line size must be a power of two");
         assert!(cfg.num_sets().is_power_of_two(), "set count must be a power of two");
+        cfg.assert_plru_tree_fits();
         assert!(
             cfg.line_bytes * cfg.num_sets() > 1,
             "one-byte lines in one set leave no tag bit for the empty-slot sentinel"
@@ -363,7 +375,7 @@ impl Cache {
     pub(crate) fn canonical_into(&self, out: &mut Vec<u64>) {
         match self.cfg.policy {
             ReplacementPolicy::Lru => {}
-            ReplacementPolicy::TreePlru => out.extend(self.plru.iter().map(|&w| u64::from(w))),
+            ReplacementPolicy::TreePlru => out.extend_from_slice(&self.plru),
             ReplacementPolicy::Random => out.push(self.rng_state),
         }
         out.extend_from_slice(&self.tags);
@@ -402,7 +414,7 @@ pub(crate) fn promote(set: &mut [u64], slot: usize, tag: u64) {
 /// whose scan loops would otherwise pay a codegen penalty under every
 /// policy for maintenance only tree-pLRU needs.
 #[inline(never)]
-fn touch_plru(state: &mut u32, w: u32, ways: u32) {
+fn touch_plru(state: &mut u64, w: u32, ways: u32) {
     if ways < 2 {
         return;
     }
@@ -420,7 +432,7 @@ fn touch_plru(state: &mut u32, w: u32, ways: u32) {
 }
 
 /// Follows the tree-pLRU pointers to the pseudo-least-recently-used way.
-fn plru_victim(state: u32, ways: u32) -> u32 {
+fn plru_victim(state: u64, ways: u32) -> u32 {
     if ways < 2 {
         return 0;
     }
@@ -428,7 +440,7 @@ fn plru_victim(state: u32, ways: u32) -> u32 {
     let mut node = 0u32;
     let mut w = 0u32;
     for _ in 0..levels {
-        let bit = (state >> node) & 1;
+        let bit = ((state >> node) & 1) as u32;
         w = (w << 1) | bit;
         node = 2 * node + 1 + bit;
     }
@@ -569,7 +581,7 @@ mod policy_tests {
     fn plru_touch_and_victim_are_consistent() {
         // After touching ways 0..3 in order, the pseudo-LRU victim must be
         // way 0 (the least recently touched under the tree approximation).
-        let mut state = 0u32;
+        let mut state = 0u64;
         for w in 0..4 {
             touch_plru(&mut state, w, 4);
         }
@@ -582,13 +594,22 @@ mod policy_tests {
 
     #[test]
     fn plru_never_evicts_most_recent() {
-        let mut state = 0u32;
-        for pattern in [[3u32, 1, 2, 0], [0, 0, 1, 3], [2, 2, 2, 1]] {
-            for &w in &pattern {
-                touch_plru(&mut state, w, 4);
+        for ways in [4u32, 64] {
+            // Each pattern way `w` stands for the last way of quarter `w`,
+            // so at 64 ways the walk reaches the deepest tree nodes.
+            let quarter = ways / 4;
+            let mut state = 0u64;
+            for pattern in [[3u32, 1, 2, 0], [0, 0, 1, 3], [2, 2, 2, 1]] {
+                for &w in &pattern {
+                    touch_plru(&mut state, w * quarter + quarter - 1, ways);
+                }
+                let last = *pattern.last().unwrap() * quarter + quarter - 1;
+                assert_ne!(plru_victim(state, ways), last, "{ways} ways: MRU way must survive");
             }
-            let last = *pattern.last().unwrap();
-            assert_ne!(plru_victim(state, 4), last, "MRU way must survive");
+            for w in 0..ways {
+                touch_plru(&mut state, w, ways);
+                assert_ne!(plru_victim(state, ways), w, "{ways} ways: way {w} just touched");
+            }
         }
     }
 
@@ -661,6 +682,26 @@ mod policy_tests {
     fn plru_rejects_odd_associativity() {
         CacheConfig::with_policy(576, 64, 3, ReplacementPolicy::TreePlru);
     }
+
+    /// A 3-way tree has no levels, so every eviction would pick way 0.
+    #[test]
+    #[should_panic(expected = "power-of-two ways")]
+    fn cache_new_rejects_struct_literal_odd_plru() {
+        let policy = ReplacementPolicy::TreePlru;
+        Cache::new(CacheConfig { size_bytes: 768, line_bytes: 64, associativity: 3, policy });
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ways")]
+    fn cache_new_rejects_plru_wider_than_64_ways() {
+        let policy = ReplacementPolicy::TreePlru;
+        Cache::new(CacheConfig {
+            size_bytes: 4 * 128 * 64,
+            line_bytes: 64,
+            associativity: 128,
+            policy,
+        });
+    }
 }
 
 #[cfg(test)]
@@ -687,7 +728,7 @@ mod differential {
         cfg: CacheConfig,
         tags: Vec<u64>,
         lru: Vec<u64>,
-        plru: Vec<u32>,
+        plru: Vec<u64>,
         rng: u64,
         clock: u64,
         stats: CacheStats,
@@ -784,12 +825,12 @@ mod differential {
         }
     }
 
-    /// A seeded geometry: 1–8 sets, 1–16 ways (powers of two under
-    /// TreePlru), 4–64-byte lines.
+    /// A seeded geometry: 1–8 sets, 1–16 ways (powers of two up to 64
+    /// under TreePlru), 4–64-byte lines.
     fn geometry(draw: &mut Draw, policy: ReplacementPolicy) -> CacheConfig {
         let sets = 1 << draw.next(4);
         let ways = match policy {
-            ReplacementPolicy::TreePlru => 1 << draw.next(5),
+            ReplacementPolicy::TreePlru => 1 << draw.next(7),
             _ => 1 + draw.next(16),
         };
         let line = 4 << draw.next(5);

@@ -1,5 +1,10 @@
 //! The simulated CPU core: executes programs and accumulates the
 //! microarchitectural statistics that raw events are defined over.
+//!
+//! [`Cpu::run`] executes every dynamic instruction and is the reference.
+//! [`Cpu::replay`] re-drives a recorded [`KernelTrace`] and produces the
+//! same statistics; its memory stream always goes through the stream
+//! engine, whatever the cache geometry or policy.
 
 use crate::branch::{BranchStats, Predictor, PredictorConfig};
 use crate::cache::AccessKind;
@@ -336,37 +341,17 @@ impl Cpu {
                 bs.cond_not_taken += 1;
             }
         }
-        // The stateful residue: drive TLB and hierarchy with the recorded
-        // stream, batched per same-kind run, preserving per-unit order.
-        // Eligible hierarchies (every policy, prefetch on or off — see
-        // `FastPathIneligible` for the one exclusion) take the stream
-        // engine's fast path, which hoists per-access bookkeeping and
-        // collapses steady-state passes analytically; the rest keep this
-        // reference loop.
-        let t = self.cfg.timing;
-        if self.hierarchy.fast_path_eligible().is_ok() {
-            self.penalty_cycles += crate::stream::replay_mem(
-                &mut self.tlb,
-                &mut self.hierarchy,
-                &seg.mem,
-                trips,
-                &t,
-                &mut self.stream_memo,
-            );
-            return;
-        }
-        for _ in 0..trips {
-            for run in &seg.mem {
-                let walks = self.tlb.translate_batch(&run.addrs);
-                self.penalty_cycles += walks * t.tlb_walk_latency;
-                let levels = self.hierarchy.access_batch(&run.addrs, run.kind);
-                if run.kind == AccessKind::Read {
-                    self.penalty_cycles += levels.l2 * t.l2_latency
-                        + levels.l3 * t.l3_latency
-                        + levels.memory * t.memory_latency;
-                }
-            }
-        }
+        // The stateful residue: the stream engine drives the TLB and
+        // hierarchy with the recorded stream, hoisting per-access
+        // bookkeeping and collapsing steady-state passes analytically.
+        self.penalty_cycles += crate::stream::replay_mem(
+            &mut self.tlb,
+            &mut self.hierarchy,
+            &seg.mem,
+            trips,
+            &self.cfg.timing,
+            &mut self.stream_memo,
+        );
     }
 
     fn execute(&mut self, i: Instruction) {

@@ -1,6 +1,11 @@
 //! Three-level data-cache hierarchy with a next-line prefetcher.
+//!
+//! [`Hierarchy::access`] is the per-address path direct execution drives.
+//! The crate-private `*_fast` methods make the same lookups and fills
+//! without per-access statistics, which the stream replay engine tallies
+//! in bulk.
 
-use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats, Lookup, ReplacementPolicy};
+use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats, Lookup};
 use serde::{Deserialize, Serialize};
 
 /// Where in the hierarchy a demand access was satisfied.
@@ -14,21 +19,6 @@ pub enum MemLevel {
     L3,
     /// Main memory.
     Memory,
-}
-
-/// Why a hierarchy configuration cannot take the stream replay fast path.
-///
-/// Since the fast engine learned every replacement policy and the
-/// prefetcher, the only remaining exclusion is structural: the tree-pLRU
-/// bit word is a `u32`, which addresses internal nodes for at most 32
-/// ways. Wider pseudo-LRU caches would overflow the tree walk in *both*
-/// engines, so the fast path declines them and leaves the reference loop
-/// (and its debug-mode shift check) as the arbiter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FastPathIneligible {
-    /// A level uses [`ReplacementPolicy::TreePlru`] with more than 32
-    /// ways — the per-set `u32` bit-tree word cannot index that tree.
-    PlruTooWide(MemLevel),
 }
 
 /// Hierarchy geometry.
@@ -58,21 +48,6 @@ impl HierarchyConfig {
             prefetch_next_line: false,
         }
     }
-
-    /// Checks whether this geometry can take the stream replay fast path,
-    /// naming the offending level when it cannot. Every replacement policy
-    /// and the next-line prefetcher are supported; see
-    /// [`FastPathIneligible`] for the one structural exclusion.
-    pub fn fast_path_eligible(&self) -> Result<(), FastPathIneligible> {
-        for (cfg, level) in
-            [(self.l1, MemLevel::L1), (self.l2, MemLevel::L2), (self.l3, MemLevel::L3)]
-        {
-            if cfg.policy == ReplacementPolicy::TreePlru && cfg.associativity > 32 {
-                return Err(FastPathIneligible::PlruTooWide(level));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Per-level demand statistics plus derived counters the PMU exposes.
@@ -100,21 +75,6 @@ pub struct HierarchyStats {
     pub loads_miss_l3: u64,
     /// Prefetch fills issued.
     pub prefetch_fills: u64,
-}
-
-/// Demand accesses from one [`Hierarchy::access_batch`] call, bucketed by
-/// the level that satisfied them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-// lint: allow(dead_api): batched-lookup result consumed by the replay engine's penalty model
-pub struct LevelCounts {
-    /// Accesses satisfied in L1.
-    pub l1: u64,
-    /// Accesses satisfied in L2.
-    pub l2: u64,
-    /// Accesses satisfied in L3.
-    pub l3: u64,
-    /// Accesses that went to main memory.
-    pub memory: u64,
 }
 
 /// A private three-level hierarchy (one per simulated core).
@@ -206,29 +166,6 @@ impl Hierarchy {
             }
         }
         level
-    }
-
-    /// Performs a batch of same-kind demand accesses in order, returning
-    /// how many were satisfied at each level. State-equivalent to calling
-    /// [`Hierarchy::access`] per address — hierarchy state depends only on
-    /// the (address, kind) sequence.
-    pub fn access_batch(&mut self, addrs: &[u64], kind: AccessKind) -> LevelCounts {
-        let mut counts = LevelCounts::default();
-        for &addr in addrs {
-            match self.access(addr, kind) {
-                MemLevel::L1 => counts.l1 += 1,
-                MemLevel::L2 => counts.l2 += 1,
-                MemLevel::L3 => counts.l3 += 1,
-                MemLevel::Memory => counts.memory += 1,
-            }
-        }
-        counts
-    }
-
-    /// Whether this hierarchy can take the stream replay fast path (see
-    /// [`HierarchyConfig::fast_path_eligible`] for the reason enum).
-    pub(crate) fn fast_path_eligible(&self) -> Result<(), FastPathIneligible> {
-        self.config().fast_path_eligible()
     }
 
     /// Whether the next-line prefetcher is enabled — hoisted by the stream
@@ -436,21 +373,6 @@ mod tests {
         assert_eq!(s.l1.read_misses, 2, "two demand misses, nothing else");
         assert_eq!(s.l1.read_hits, 0, "prefetch probes are stats-silent");
         assert_eq!(s.loads_miss_l1, 2);
-    }
-
-    #[test]
-    fn fast_path_eligibility_names_the_wide_plru_level() {
-        let mut cfg = tiny().config();
-        assert_eq!(cfg.fast_path_eligible(), Ok(()));
-        cfg.prefetch_next_line = true;
-        assert_eq!(cfg.fast_path_eligible(), Ok(()), "prefetch is supported");
-        cfg.l2 = CacheConfig::with_policy(
-            64 * 64 * 64,
-            64,
-            64,
-            crate::cache::ReplacementPolicy::TreePlru,
-        );
-        assert_eq!(cfg.fast_path_eligible(), Err(FastPathIneligible::PlruTooWide(MemLevel::L2)));
     }
 
     #[test]

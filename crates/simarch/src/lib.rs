@@ -52,7 +52,7 @@ pub use cpu::{CoreConfig, Cpu, ExecStats};
 pub use events_cpu::{sapphire_rapids_like, CpuBase, CpuEventDef, CpuEventSet};
 pub use events_zen::zen_like;
 pub use gpu::{mi250x_like, GpuConfig, GpuDevice, GpuEventSet, GpuKernel, GpuStats};
-pub use hierarchy::{FastPathIneligible, HierarchyConfig, MemLevel};
+pub use hierarchy::{HierarchyConfig, MemLevel};
 pub use isa::{FpKind, Instruction, IntKind, Precision, VecWidth};
 pub use noise::NoiseModel;
 pub use pmu::{CpuPmu, PmuConfig};

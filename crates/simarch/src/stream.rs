@@ -32,13 +32,13 @@
 //!   (dstore's mixed load/store program) keep one entry per segment
 //!   instead of thrashing a single slot.
 //!
-//! The fast path covers every replacement policy and the next-line
-//! prefetcher; [`crate::hierarchy::HierarchyConfig::fast_path_eligible`]
-//! names the one structural exclusion (pseudo-LRU wider than 32 ways).
-//! The parity tests below pin bit-identical statistics, penalties,
-//! prefetch fills, and future behavior against the reference loop for
-//! fitting, thrashing, and mixed streams under every policy × prefetch
-//! combination.
+//! This is the only memory path of replay: it covers every cache geometry,
+//! replacement policy and the next-line prefetcher. The parity tests below
+//! pin bit-identical statistics, penalties, prefetch fills, and future
+//! behavior against per-address `Tlb::translate` + `Hierarchy::access` —
+//! the calls `Cpu::run` makes — for fitting, thrashing, and mixed streams
+//! under every policy × prefetch combination and the widest (64-way)
+//! pseudo-LRU tree.
 
 use crate::cache::AccessKind;
 use crate::cpu::TimingConfig;
@@ -79,7 +79,7 @@ struct PassTally {
 }
 
 /// Observer-facing counters for the stream engine, accumulated on the
-/// [`StreamMemo`] that lives with each `Cpu`.
+/// `StreamMemo` that lives with each `Cpu`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StreamStats {
     /// Replay calls that collapsed straight off a memoized cross-call
@@ -236,9 +236,9 @@ fn level_index(level: MemLevel) -> usize {
 
 impl PassTally {
     /// Penalty cycles one such pass contributes — identical arithmetic to
-    /// the reference loop: read latencies by satisfying level plus page
+    /// direct execution: read latencies by satisfying level plus page
     /// walks (writes are penalized for walks but not for hierarchy
-    /// latency, matching `Cpu::replay_segment`; prefetches are free).
+    /// latency; prefetches are free).
     fn penalty(&self, t: &TimingConfig) -> u64 {
         self.read_lv[1] * t.l2_latency
             + self.read_lv[2] * t.l3_latency
@@ -255,11 +255,9 @@ impl PassTally {
     }
 }
 
-/// Drives one full pass of the stream, mirroring the reference loop's
-/// per-unit call sequence exactly (TLB and hierarchy are independent
-/// units, so per-address interleaving and per-run batching are
-/// state-equivalent), including the next-line prefetch after every access
-/// satisfied below L1.
+/// Drives one full pass of the stream, mirroring direct execution's
+/// per-address call sequence exactly, including the next-line prefetch
+/// after every access satisfied below L1.
 fn drive_pass(tlb: &mut Tlb, hierarchy: &mut Hierarchy, mem: &[MemRun]) -> PassTally {
     let mut tally = PassTally::default();
     let prefetch = hierarchy.prefetch_enabled();
@@ -298,11 +296,8 @@ fn drive_pass(tlb: &mut Tlb, hierarchy: &mut Hierarchy, mem: &[MemRun]) -> PassT
 /// Replays `trips` passes of a recorded memory stream against the TLB and
 /// hierarchy, returning the penalty cycles accrued. Statistics, penalties,
 /// prefetch fills, and all future unit behavior are bit-identical to
-/// driving the reference loop (`translate_batch` + `access_batch` per run,
-/// `trips` times).
-///
-/// Caller must ensure [`crate::hierarchy::HierarchyConfig::fast_path_eligible`]
-/// holds.
+/// calling `Tlb::translate` and `Hierarchy::access` per address, `trips`
+/// times.
 pub(crate) fn replay_mem(
     tlb: &mut Tlb,
     hierarchy: &mut Hierarchy,
@@ -395,24 +390,31 @@ mod tests {
     use crate::hierarchy::HierarchyConfig;
     use crate::tlb::TlbConfig;
 
-    fn units_with(policy: ReplacementPolicy, prefetch: bool) -> (Tlb, Hierarchy) {
+    fn hierarchy_with(policy: ReplacementPolicy, prefetch: bool) -> HierarchyConfig {
         // Small geometry so fitting/thrashing regimes are cheap to hit.
-        let h = HierarchyConfig {
+        HierarchyConfig {
             l1: CacheConfig::with_policy(4 * 1024, 64, 8, policy),
             l2: CacheConfig::with_policy(16 * 1024, 64, 8, policy),
             l3: CacheConfig::with_policy(64 * 1024, 64, 16, policy),
             prefetch_next_line: prefetch,
-        };
+        }
+    }
+
+    fn units_on(h: HierarchyConfig) -> (Tlb, Hierarchy) {
         let t = TlbConfig { entries: 16, associativity: 4, page_bytes: 4096 };
         (Tlb::new(t), Hierarchy::new(h))
+    }
+
+    fn units_with(policy: ReplacementPolicy, prefetch: bool) -> (Tlb, Hierarchy) {
+        units_on(hierarchy_with(policy, prefetch))
     }
 
     fn units() -> (Tlb, Hierarchy) {
         units_with(ReplacementPolicy::Lru, false)
     }
 
-    /// The reference semantics: the exact per-run loop from
-    /// `Cpu::replay_segment`'s fallback path.
+    /// The reference semantics: the per-address `Tlb::translate` +
+    /// `Hierarchy::access` calls and penalty arithmetic of `Cpu::execute`.
     fn reference_replay(
         tlb: &mut Tlb,
         hierarchy: &mut Hierarchy,
@@ -423,13 +425,19 @@ mod tests {
         let mut penalty = 0u64;
         for _ in 0..trips {
             for run in mem {
-                let walks = tlb.translate_batch(&run.addrs);
-                penalty += walks * timing.tlb_walk_latency;
-                let levels = hierarchy.access_batch(&run.addrs, run.kind);
-                if run.kind == AccessKind::Read {
-                    penalty += levels.l2 * timing.l2_latency
-                        + levels.l3 * timing.l3_latency
-                        + levels.memory * timing.memory_latency;
+                for &addr in &run.addrs {
+                    if !tlb.translate(addr) {
+                        penalty += timing.tlb_walk_latency;
+                    }
+                    let level = hierarchy.access(addr, run.kind);
+                    if run.kind == AccessKind::Read {
+                        penalty += match level {
+                            MemLevel::L1 => 0,
+                            MemLevel::L2 => timing.l2_latency,
+                            MemLevel::L3 => timing.l3_latency,
+                            MemLevel::Memory => timing.memory_latency,
+                        };
+                    }
                 }
             }
         }
@@ -437,30 +445,39 @@ mod tests {
     }
 
     fn assert_parity_under(policy: ReplacementPolicy, prefetch: bool, mem: &[MemRun], trips: u64) {
+        assert_parity_on(hierarchy_with(policy, prefetch), mem, trips);
+    }
+
+    fn assert_parity_on(h: HierarchyConfig, mem: &[MemRun], trips: u64) {
         let timing = TimingConfig::default_sim();
-        let (mut tlb_a, mut hier_a) = units_with(policy, prefetch);
-        let (mut tlb_b, mut hier_b) = units_with(policy, prefetch);
+        let (mut tlb_a, mut hier_a) = units_on(h);
+        let (mut tlb_b, mut hier_b) = units_on(h);
         let pen_a = reference_replay(&mut tlb_a, &mut hier_a, mem, trips, &timing);
         let pen_b =
             replay_mem(&mut tlb_b, &mut hier_b, mem, trips, &timing, &mut StreamMemo::default());
-        let tag = format!("{policy:?}/prefetch={prefetch}");
+        let tag = format!("{h:?}");
         assert_eq!(pen_a, pen_b, "{tag}: penalty cycles diverged");
         assert_eq!(tlb_a.stats, tlb_b.stats, "{tag}: TLB stats diverged");
         assert_eq!(hier_a.stats(), hier_b.stats(), "{tag}: hierarchy stats diverged");
         // Future behavior must match too: hit the same probe stream on
         // both and require identical outcomes (state equivalence).
         let probes: Vec<u64> = (0..512u64).map(|i| i * 4096 + (i % 7) * 64).collect();
-        let pa = hier_a.access_batch(&probes, AccessKind::Read);
-        let pb = hier_b.access_batch(&probes, AccessKind::Read);
-        assert_eq!(pa, pb, "{tag}: post-replay hierarchy behavior diverged");
+        let levels = |h: &mut Hierarchy| -> Vec<MemLevel> {
+            probes.iter().map(|&addr| h.access(addr, AccessKind::Read)).collect()
+        };
+        assert_eq!(
+            levels(&mut hier_a),
+            levels(&mut hier_b),
+            "{tag}: post-replay hierarchy behavior diverged"
+        );
         assert_eq!(
             hier_a.stats(),
             hier_b.stats(),
             "{tag}: post-replay stats (incl. prefetch fills) diverged"
         );
-        let wa = tlb_a.translate_batch(&probes);
-        let wb = tlb_b.translate_batch(&probes);
-        assert_eq!(wa, wb, "{tag}: post-replay TLB behavior diverged");
+        let hits =
+            |t: &mut Tlb| -> Vec<bool> { probes.iter().map(|&addr| t.translate(addr)).collect() };
+        assert_eq!(hits(&mut tlb_a), hits(&mut tlb_b), "{tag}: post-replay TLB behavior diverged");
     }
 
     fn every_config() -> impl Iterator<Item = (ReplacementPolicy, bool)> {
@@ -524,6 +541,20 @@ mod tests {
                 &[loads.clone(), stores.clone(), tail.clone()],
                 3,
             );
+        }
+    }
+
+    #[test]
+    fn parity_for_a_64_way_plru_l3() {
+        // The widest tree the per-set pLRU word holds: a stream four times
+        // L3's capacity evicts through every node of the 64-way tree.
+        for prefetch in [false, true] {
+            let h = HierarchyConfig {
+                l3: CacheConfig::with_policy(64 * 1024, 64, 64, ReplacementPolicy::TreePlru),
+                ..hierarchy_with(ReplacementPolicy::Lru, prefetch)
+            };
+            assert_parity_on(h, &[chase(4096, 9)], 4);
+            assert_parity_on(h, &[chase(32, 5)], 6);
         }
     }
 

@@ -42,7 +42,7 @@ pub struct TlbStats {
 ///
 /// Like an LRU [`crate::cache::Cache`] set, a TLB set's state is its slot
 /// order: `vpns` holds `ways` slots per set, indexed `set * ways + slot`,
-/// valid entries most-recent first and [`EMPTY`] in the free slots after
+/// valid entries most-recent first and `EMPTY` in the free slots after
 /// them.
 #[derive(Debug, Clone)]
 pub struct Tlb {
@@ -90,18 +90,6 @@ impl Tlb {
             self.stats.misses += 1;
         }
         hit
-    }
-
-    /// Translates a batch of addresses in order, returning the number of
-    /// misses added. Equivalent to calling [`Tlb::translate`] per address —
-    /// translation state depends only on the address sequence — but keeps
-    /// the loop over the dense slot row in one place.
-    pub fn translate_batch(&mut self, addrs: &[u64]) -> u64 {
-        let before = self.stats.misses;
-        for &addr in addrs {
-            self.translate(addr);
-        }
-        self.stats.misses - before
     }
 
     /// [`Tlb::translate`] minus statistics, which the stream replay engine

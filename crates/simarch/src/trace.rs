@@ -7,11 +7,11 @@
 //! exploits that: it walks each top-level item **once**, flattening a
 //! single iteration into
 //!
-//! * analytic per-iteration retirement counts ([`BodyCounts`]) for every
+//! * analytic per-iteration retirement counts (`BodyCounts`) for every
 //!   unit whose statistics don't depend on mutable state (FP/integer/nop
 //!   retirement, uop expansion, forced-outcome branch verdicts), and
 //! * the stateful residue that must actually be re-executed: the ordered
-//!   memory-access stream (coalesced into same-kind [`MemRun`]s) and, when
+//!   memory-access stream (coalesced into same-kind `MemRun`s) and, when
 //!   any branch consults the real predictor, the ordered conditional
 //!   branches.
 //!

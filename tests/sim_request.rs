@@ -1,19 +1,15 @@
 //! `SimRequest` end-to-end guarantees:
 //!
 //! * the unified builder produces byte-identical `MeasurementSet`s to the
-//!   deprecated `run_*` / `run_*_obs` shims it replaced, for all six
-//!   domains;
+//!   `measure_*` runner it dispatches to, for all six domains;
 //! * the parallel `Replay` engine matches the sequential `Direct`
 //!   reference engine through the public API;
 //! * the validating `RunnerConfig` builder round-trips into requests.
 
-#![allow(deprecated)]
-
 use catalyze_cat::{
-    measure_dcache_threads, run_branch, run_branch_obs, run_cpu_flops, run_cpu_flops_obs,
-    run_dcache, run_dcache_obs, run_dcache_per_thread, run_dstore, run_dstore_obs, run_dtlb,
-    run_dtlb_obs, run_gpu_flops, run_gpu_flops_obs, Domain, MeasurementSet, RunnerConfig,
-    RunnerConfigBuilder, SimEngine, SimRequest,
+    measure_branch, measure_cpu_flops, measure_dcache, measure_dstore, measure_dtlb,
+    measure_gpu_flops, Domain, MeasurementSet, RunnerConfig, RunnerConfigBuilder, SimEngine,
+    SimRequest,
 };
 use catalyze_obs::NoopObserver;
 use catalyze_sim::cache::{CacheConfig, ReplacementPolicy};
@@ -33,53 +29,22 @@ fn bytes(ms: &MeasurementSet) -> Vec<u8> {
 }
 
 #[test]
-fn request_matches_legacy_shims_for_all_six_domains() {
-    let cpu = sapphire_rapids_like();
-    let cfg = RunnerConfig::fast_test();
-    let gpu = mi250x_like(cfg.gpu_devices);
-    let legacy: [(Domain, MeasurementSet); 6] = [
-        (Domain::CpuFlops, run_cpu_flops(&cpu, &cfg)),
-        (Domain::Branch, run_branch(&cpu, &cfg)),
-        (Domain::Dcache, run_dcache(&cpu, &cfg)),
-        (Domain::Dtlb, run_dtlb(&cpu, &cfg)),
-        (Domain::Dstore, run_dstore(&cpu, &cfg)),
-        (Domain::GpuFlops, run_gpu_flops(&gpu, &cfg)),
-    ];
-    for (domain, shim) in &legacy {
-        let new = request(*domain, &cfg);
-        assert_eq!(bytes(&new), bytes(shim), "{domain}: SimRequest differs from legacy shim");
-    }
-}
-
-#[test]
-fn observer_shims_delegate_to_the_same_runners() {
+fn request_matches_measure_runners_for_all_six_domains() {
     let cpu = sapphire_rapids_like();
     let cfg = RunnerConfig::fast_test();
     let gpu = mi250x_like(cfg.gpu_devices);
     let obs = &NoopObserver;
-    let legacy: [(Domain, MeasurementSet); 6] = [
-        (Domain::CpuFlops, run_cpu_flops_obs(&cpu, &cfg, obs)),
-        (Domain::Branch, run_branch_obs(&cpu, &cfg, obs)),
-        (Domain::Dcache, run_dcache_obs(&cpu, &cfg, obs)),
-        (Domain::Dtlb, run_dtlb_obs(&cpu, &cfg, obs)),
-        (Domain::Dstore, run_dstore_obs(&cpu, &cfg, obs)),
-        (Domain::GpuFlops, run_gpu_flops_obs(&gpu, &cfg, obs)),
+    let runners: [(Domain, MeasurementSet); 6] = [
+        (Domain::CpuFlops, measure_cpu_flops(&cpu, &cfg, obs)),
+        (Domain::Branch, measure_branch(&cpu, &cfg, obs)),
+        (Domain::Dcache, measure_dcache(&cpu, &cfg, obs)),
+        (Domain::Dtlb, measure_dtlb(&cpu, &cfg, obs)),
+        (Domain::Dstore, measure_dstore(&cpu, &cfg, obs)),
+        (Domain::GpuFlops, measure_gpu_flops(&gpu, &cfg, obs)),
     ];
-    for (domain, shim) in &legacy {
+    for (domain, direct) in &runners {
         let new = request(*domain, &cfg);
-        assert_eq!(bytes(&new), bytes(shim), "{domain}: SimRequest differs from _obs shim");
-    }
-}
-
-#[test]
-fn per_thread_shim_matches_measure_dcache_threads() {
-    let cpu = sapphire_rapids_like();
-    let cfg = RunnerConfig::fast_test();
-    let shim = run_dcache_per_thread(&cpu, &cfg);
-    let new = measure_dcache_threads(&cpu, &cfg, &NoopObserver);
-    assert_eq!(shim.len(), new.len());
-    for (a, b) in shim.iter().zip(&new) {
-        assert_eq!(bytes(a), bytes(b));
+        assert_eq!(bytes(&new), bytes(direct), "{domain}: SimRequest differs from its runner");
     }
 }
 
@@ -124,7 +89,6 @@ fn replay_engine_matches_direct_across_policies_and_prefetch() {
                 l3: mk(1024 * 1024, 16),
                 prefetch_next_line: prefetch,
             };
-            assert!(cfg.core.hierarchy.fast_path_eligible().is_ok());
             for domain in [Domain::Dcache, Domain::Dstore] {
                 let run = |engine: SimEngine| {
                     SimRequest::new()

