@@ -13,16 +13,21 @@
 //! geometry rebuilt per policy, reporting per configuration whether the
 //! engines stayed byte-identical on the robustness-sweep configurations.
 //!
+//! A `stream` object attributes the memory chases' cost to the stream
+//! engine's drive loop: single-thread `Cpu::replay_passes` over the warmup
+//! passes of the dcache 4×L3, stride-64 point, in ns per access.
+//!
 //! CI gates on this artifact: `run/dcache` and `run/dstore` must not
 //! regress more than 1.3x over the committed snapshot, the dstore replay
-//! speedup must stay ≥ 5x, and every `bit_identical` flag (domain and
-//! policy rows) must hold.
+//! speedup must stay ≥ 5x, every `bit_identical` flag (domain and
+//! policy rows) must hold, and the stream row must report a positive cost.
 
 use crate::Scale;
-use catalyze_cat::{Domain, MeasurementSet, RunnerConfig, SimEngine, SimRequest};
+use catalyze_cat::{dcache, Domain, MeasurementSet, RunnerConfig, SimEngine, SimRequest};
 use catalyze_obs::TraceCollector;
 use catalyze_sim::cache::{CacheConfig, ReplacementPolicy};
-use catalyze_sim::{sapphire_rapids_like, CoreConfig, CpuEventSet};
+use catalyze_sim::{sapphire_rapids_like, CoreConfig, Cpu, CpuEventSet, KernelTrace};
+use std::time::Instant;
 
 /// Timing repetitions per engine; the minimum over them is reported.
 fn reps(scale: Scale) -> usize {
@@ -123,6 +128,42 @@ fn core_with_policy(mut core: CoreConfig, policy: ReplacementPolicy, prefetch: b
     core
 }
 
+/// The stream row: times `n` single-thread `Cpu::replay_passes` calls over
+/// the warmup passes of the dcache 4×L3, stride-64 point (thread 0's
+/// chase), each on a fresh core. Both passes are driven — a cold one, then
+/// the first warm one — so every access runs the drive loop, the per-access
+/// cost the memory-region points pay.
+fn stream_row(cfg: &RunnerConfig, n: usize) -> String {
+    let h = cfg.core.hierarchy;
+    let sweep = dcache::sweep(&h);
+    let (index, point) = sweep
+        .iter()
+        .enumerate()
+        .find(|(_, c)| c.stride == 64 && c.footprint_bytes() == 4 * h.l3.size_bytes)
+        // lint: allow(panic): the dcache sweep always has a 4xL3 footprint at stride 64
+        .expect("4xL3 stride-64 point in the dcache sweep");
+    let trace = KernelTrace::record(&point.program(1 << 40, index as u64, dcache::MEASURE_PASSES));
+    let mut accesses = 0;
+    let mut ns_per_access = Vec::with_capacity(n);
+    for _ in 0..n {
+        let mut cpu = Cpu::new(cfg.core);
+        // lint: allow(raw_timing): single-thread stream timing; its result is the artifact itself
+        let start = Instant::now();
+        cpu.replay_passes(&trace, dcache::WARMUP_PASSES);
+        let ns = start.elapsed().as_nanos() as f64;
+        let tlb = cpu.stats().tlb;
+        accesses = tlb.hits + tlb.misses;
+        ns_per_access.push(ns / accesses.max(1) as f64);
+    }
+    let min = ns_per_access.iter().copied().fold(f64::INFINITY, f64::min);
+    let median = catalyze_linalg::vector::median_in_place(&mut ns_per_access).unwrap_or(0.0);
+    format!(
+        "{{\"point\":\"{}\",\"repeats\":{n},\"accesses\":{accesses},\
+         \"ns_per_access_median\":{median:.3},\"ns_per_access_min\":{min:.3}}}",
+        point.label(&h),
+    )
+}
+
 /// Renders the versioned `BENCH_sim.json` snapshot.
 pub fn sim_snapshot(scale: Scale) -> String {
     let set = sapphire_rapids_like();
@@ -165,10 +206,11 @@ pub fn sim_snapshot(scale: Scale) -> String {
         }
     }
     format!(
-        "{{\"version\":2,\"scale\":\"{}\",\"domains\":[{}],\"policies\":[{}]}}\n",
+        "{{\"version\":2,\"scale\":\"{}\",\"domains\":[{}],\"policies\":[{}],\"stream\":{}}}\n",
         scale.label(),
         rows.join(","),
         policy_rows.join(","),
+        stream_row(&cfg, 2 * n + 1),
     )
 }
 
@@ -211,5 +253,14 @@ mod tests {
             assert!(row["direct_ns"].as_u64().unwrap() > 0, "{tag}");
             assert!(row["replay_ns"].as_u64().unwrap() > 0, "{tag}");
         }
+        // The stream row times both driven warmup passes of the 4xL3,
+        // stride-64 dcache point: 65,536 pointers each on the stock core.
+        let stream = &parsed["stream"];
+        assert_eq!(stream["point"].as_str(), Some("stride=64B/ptrs=65536/M"));
+        assert_eq!(stream["repeats"].as_u64(), Some(2 * reps(Scale::Fast) as u64 + 1));
+        assert_eq!(stream["accesses"].as_u64(), Some(2 * 65_536));
+        let median = stream["ns_per_access_median"].as_f64().unwrap();
+        let min = stream["ns_per_access_min"].as_f64().unwrap();
+        assert!(min > 0.0 && min <= median, "min {min}, median {median}");
     }
 }

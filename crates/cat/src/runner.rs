@@ -91,10 +91,6 @@ impl RunnerConfig {
     }
 }
 
-fn all_ids(n: usize) -> Vec<EventId> {
-    (0..n).map(|i| EventId(i as u32)).collect()
-}
-
 /// Mixes repetition and point indices into one PMU run key, so every
 /// (event, repetition, point, group) observation draws independent noise.
 fn run_key(rep: usize, point: usize) -> usize {
@@ -126,12 +122,44 @@ fn record_engine_counters(obs: &dyn Observer, engine: SimEngine, stream: StreamS
     obs.counter("stream.passes_collapsed", stream.passes_collapsed);
 }
 
-/// Collects per-point stats and reads all events, normalized by `norm`.
+/// Reads every event at every point of a sweep, for each repetition,
+/// straight into the `[rep][event][point]` layout, normalized by
+/// `norms[point]`.
+///
+/// `truths[e][p]` is event `e`'s true count at point `p`, evaluated once
+/// for all repetitions; `observe(e, truth, run)` is the PMU's read-back of
+/// it under run key `run`. Reads are pure functions of the run key, so the
+/// (repetition, event) cells proceed in parallel. `key_offset` separates
+/// noise streams that share a sweep (the per-thread cache chases).
+fn read_runs<O>(
+    truths: &[Vec<f64>],
+    norms: &[f64],
+    repetitions: usize,
+    key_offset: usize,
+    observe: O,
+) -> Vec<Vec<Vec<f64>>>
+where
+    O: Fn(usize, f64, usize) -> f64 + Sync,
+{
+    let cells: Vec<(usize, usize)> =
+        (0..repetitions).flat_map(|rep| (0..truths.len()).map(move |e| (rep, e))).collect();
+    let rows: Vec<Vec<f64>> = cells
+        .par_iter()
+        .map(|&(rep, e)| {
+            let counts = truths[e].iter().zip(norms).enumerate();
+            counts
+                .map(|(p, (&truth, &n))| observe(e, truth, run_key(rep, p) + key_offset) / n)
+                .collect()
+        })
+        .collect();
+    let mut rows = rows.into_iter();
+    (0..repetitions).map(|_| rows.by_ref().take(truths.len()).collect()).collect()
+}
+
+/// Reads all CPU events at every point of a sweep (see [`read_runs`]).
 ///
 /// The greedy counter scheduling is deterministic in `(set, events)`, so
-/// it is computed once and the per-repetition reads — pure functions of
-/// the run key — proceed in parallel. `key_offset` separates noise streams
-/// that share a sweep (the per-thread cache chases).
+/// it is computed once for the whole sweep.
 fn read_all_cpu(
     set: &CpuEventSet,
     pmu: &CpuPmu,
@@ -140,37 +168,30 @@ fn read_all_cpu(
     repetitions: usize,
     key_offset: usize,
 ) -> Vec<Vec<Vec<f64>>> {
-    let events = all_ids(set.len());
+    let defs: Vec<_> = set.iter().collect();
+    let events: Vec<EventId> = defs.iter().map(|&(id, _)| id).collect();
     let groups = pmu.schedule(set, &events);
-    let reps: Vec<usize> = (0..repetitions).collect();
-    reps.par_iter()
-        .map(|&rep| {
-            // counts[point][event] -> transpose into [event][point]
-            let per_point: Vec<Vec<f64>> = stats
-                .iter()
-                .enumerate()
-                .map(|(p, s)| {
-                    pmu.read_cpu_scheduled(set, s, &events, &groups, run_key(rep, p) + key_offset)
-                })
-                .collect();
-            (0..events.len())
-                .map(|e| per_point.iter().zip(norms).map(|(counts, &n)| counts[e] / n).collect())
-                .collect()
-        })
-        .collect()
+    let truths: Vec<Vec<f64>> =
+        defs.iter().map(|(_, def)| stats.iter().map(|s| def.true_count(s)).collect()).collect();
+    read_runs(&truths, norms, repetitions, key_offset, |e, truth, run| {
+        let (id, def) = defs[e];
+        pmu.observe_cpu(def, id, truth, groups[e], run)
+    })
 }
 
 /// Runs `simulate_point` for every point of a sweep on the selected engine,
-/// returning per-point stats in point order and the stream counters summed
-/// in point order.
+/// one point per entry of `costs`, returning per-point stats in point order
+/// and the stream counters summed in point order.
 ///
 /// `Replay` makes each point one task under a single `replay` span, handed
-/// out dynamically across the worker pool: a task builds, records and
-/// replays its point and drops the trace when it ends, so at most one
-/// trace per worker is live. `Direct` executes every point sequentially
-/// with no child spans.
+/// out dynamically across the worker pool largest cost first (ties in
+/// point order), so the longest chases start at once instead of running
+/// alone at the end of the sweep. A task builds, records and replays its
+/// point and drops the trace when it ends, so at most one trace per worker
+/// is live. `Direct` executes every point sequentially in point order with
+/// no child spans.
 fn simulate_points<F>(
-    n_points: usize,
+    costs: &[u64],
     obs: &dyn Observer,
     engine: SimEngine,
     simulate_point: F,
@@ -178,22 +199,24 @@ fn simulate_points<F>(
 where
     F: Fn(usize) -> Cpu + Sync,
 {
-    let points: Vec<usize> = (0..n_points).collect();
+    let mut points: Vec<usize> = (0..costs.len()).collect();
     let run = |&p: &usize| {
         let cpu = simulate_point(p);
-        (cpu.stats(), cpu.stream_stats())
+        (p, cpu.stats(), cpu.stream_stats())
     };
-    let cpus: Vec<(ExecStats, StreamStats)> = match engine {
+    let mut cpus: Vec<(usize, ExecStats, StreamStats)> = match engine {
         SimEngine::Direct => points.iter().map(run).collect(),
         SimEngine::Replay => {
             let _s = Span::enter(obs, "replay");
+            points.sort_by_key(|&p| std::cmp::Reverse(costs[p]));
             points.par_iter().map(run).collect()
         }
     };
+    cpus.sort_by_key(|&(p, ..)| p);
     let mut stream = StreamStats::default();
     let stats = cpus
         .into_iter()
-        .map(|(s, per_cpu)| {
+        .map(|(_, s, per_cpu)| {
             stream.merge(per_cpu);
             s
         })
@@ -213,7 +236,7 @@ fn simulate_sweep<F>(
 where
     F: Fn(usize) -> Program + Sync,
 {
-    simulate_points(n_points, obs, engine, |p| {
+    simulate_points(&vec![0; n_points], obs, engine, |p| {
         let mut cpu = Cpu::new(core);
         let program = program_of(p);
         match engine {
@@ -225,7 +248,8 @@ where
 }
 
 /// Simulates a warmup-then-measure sweep (the memory-chase domains) on the
-/// selected engine.
+/// selected engine, one point per entry of `accesses`: the point's
+/// accesses per pass, the cost [`simulate_points`] schedules by.
 ///
 /// The warmup and measurement programs of a chase point differ only in the
 /// top-level pass count, so `Replay` records the measurement program once
@@ -233,7 +257,7 @@ where
 /// `Cpu::replay_passes`, all inside the point's task.
 fn simulate_chase_sweep<F>(
     core: CoreConfig,
-    n_points: usize,
+    accesses: &[u64],
     program_of: F,
     warmup_passes: u64,
     measure_passes: u64,
@@ -243,7 +267,7 @@ fn simulate_chase_sweep<F>(
 where
     F: Fn(usize, u64) -> Program + Sync,
 {
-    simulate_points(n_points, obs, engine, |p| {
+    simulate_points(accesses, obs, engine, |p| {
         let mut cpu = Cpu::new(core);
         match engine {
             SimEngine::Direct => {
@@ -435,7 +459,7 @@ fn dcache_sweep(
     let n = configs.len();
     let (stats, stream) = simulate_chase_sweep(
         cfg.core,
-        cfg.dcache_threads * n,
+        &(0..cfg.dcache_threads * n).map(|i| configs[i % n].pointers).collect::<Vec<_>>(),
         |i, passes| {
             let (thread, p) = (i / n, i % n);
             let base = (thread as u64 + 1) << 40;
@@ -457,13 +481,15 @@ pub fn median_across_threads(threads: &[MeasurementSet]) -> MeasurementSet {
     let first = &threads[0];
     let mut out = first.clone();
     out.domain = "dcache".into();
+    let mut vals = Vec::with_capacity(threads.len());
     for r in 0..first.num_runs() {
         for e in 0..first.num_events() {
             for p in 0..first.num_points() {
-                let vals: Vec<f64> = threads.iter().map(|t| t.runs[r][e][p]).collect();
+                vals.clear();
+                vals.extend(threads.iter().map(|t| t.runs[r][e][p]));
                 out.runs[r][e][p] =
                     // lint: allow(panic, reachable_panic): per-thread runs always produce at least one sample
-                    catalyze_linalg::vector::median(&vals).expect("non-empty thread set");
+                    catalyze_linalg::vector::median_in_place(&mut vals).expect("non-empty thread set");
             }
         }
     }
@@ -489,7 +515,7 @@ pub(crate) fn dtlb_with_engine(
         let _s = Span::enter(obs, "simulate");
         simulate_chase_sweep(
             cfg.core,
-            configs.len(),
+            &configs.iter().map(|c| c.slots()).collect::<Vec<_>>(),
             |p, passes| configs[p].program(0, 4242 + p as u64, passes),
             crate::dtlb::WARMUP_PASSES,
             crate::dtlb::MEASURE_PASSES,
@@ -533,7 +559,7 @@ pub(crate) fn dstore_with_engine(
         let _s = Span::enter(obs, "simulate");
         simulate_chase_sweep(
             cfg.core,
-            configs.len(),
+            &configs.iter().map(|c| c.lines).collect::<Vec<_>>(),
             |p, passes| configs[p].program(0, 9000 + p as u64, passes),
             crate::dstore::WARMUP_PASSES,
             crate::dstore::MEASURE_PASSES,
@@ -585,24 +611,21 @@ pub fn measure_gpu_flops(
             })
             .collect()
     };
-    let events = all_ids(set.len());
     let pmu = CpuPmu::new(cfg.pmu);
-    let norm = cfg.gpu_wavefronts as f64;
+    let norms = vec![cfg.gpu_wavefronts as f64; points.len()];
     let runs = {
         let _s = Span::enter(obs, "read-counters");
-        let reps: Vec<usize> = (0..cfg.repetitions).collect();
-        reps.par_iter()
-            .map(|&rep| {
-                let per_point: Vec<Vec<f64>> = device_stats
-                    .iter()
-                    .enumerate()
-                    .map(|(p, devs)| pmu.read_gpu(set, devs, &events, run_key(rep, p)))
-                    .collect();
-                (0..events.len())
-                    .map(|e| per_point.iter().map(|counts| counts[e] / norm).collect())
-                    .collect()
+        let defs: Vec<_> = set.iter().collect();
+        let truths: Vec<Vec<f64>> = defs
+            .iter()
+            .map(|&(id, _)| {
+                device_stats.iter().map(|devs| set.true_count(id, devs).unwrap_or(0.0)).collect()
             })
-            .collect()
+            .collect();
+        read_runs(&truths, &norms, cfg.repetitions, 0, |e, truth, run| {
+            let (id, def) = defs[e];
+            pmu.observe_gpu(def, id, truth, e, run)
+        })
     };
     record_runner_counters(obs, points.len(), set.len(), cfg.repetitions);
     MeasurementSet {

@@ -71,13 +71,18 @@ pub fn mean(v: &[f64]) -> f64 {
 /// Returns `None` for an empty slice and ignores NaN ordering subtleties by
 /// using total ordering on bit patterns (callers pass finite data).
 pub fn median(v: &[f64]) -> Option<f64> {
+    median_in_place(&mut v.to_vec())
+}
+
+/// [`median`] that sorts `v` itself instead of a copy, so a caller taking
+/// many medians can reuse one buffer. Leaves `v` sorted.
+pub fn median_in_place(v: &mut [f64]) -> Option<f64> {
     if v.is_empty() {
         return None;
     }
-    let mut sorted = v.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let n = sorted.len();
-    Some(if n % 2 == 1 { sorted[n / 2] } else { 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]) })
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    Some(if n % 2 == 1 { v[n / 2] } else { 0.5 * (v[n / 2 - 1] + v[n / 2]) })
 }
 
 /// Largest absolute entry; zero for an empty slice.
@@ -155,6 +160,48 @@ mod tests {
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
         assert_eq!(median(&[]), None);
         assert_eq!(median(&[7.0]), Some(7.0));
+    }
+
+    #[test]
+    fn median_in_place_matches_allocate_and_sort_bit_for_bit() {
+        // The allocate-and-sort median `median_in_place` replaced.
+        fn reference(v: &[f64]) -> Option<f64> {
+            if v.is_empty() {
+                return None;
+            }
+            let mut sorted = v.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            let n = sorted.len();
+            Some(if n % 2 == 1 { sorted[n / 2] } else { 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]) })
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut buf = Vec::new();
+        for len in 0..40usize {
+            for trial in 0..30 {
+                let v: Vec<f64> = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        match (trial % 3, state % 4) {
+                            (_, 0) => 0.0,
+                            (_, 1) => -0.0,
+                            // Any bit pattern: NaNs, infinities, subnormals.
+                            (0, _) => f64::from_bits(state),
+                            // Near the top of the range, where the sum of
+                            // the middle pair overflows.
+                            (1, _) => f64::MAX / (1.0 + (state % 8) as f64 / 8.0),
+                            _ => (state % 1000) as f64 / 7.0 - 70.0,
+                        }
+                    })
+                    .collect();
+                buf.clear();
+                buf.extend_from_slice(&v);
+                let want = reference(&v).map(f64::to_bits);
+                assert_eq!(median_in_place(&mut buf).map(f64::to_bits), want, "{v:?}");
+                assert_eq!(median(&v).map(f64::to_bits), want, "{v:?}");
+            }
+        }
     }
 
     #[test]

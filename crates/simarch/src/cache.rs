@@ -2,9 +2,14 @@
 //! tree pseudo-LRU, or seeded random).
 //!
 //! Each set is a row of tag slots whose order is the set's whole state:
-//! valid lines form a prefix, kept most-recent first under LRU. One private `probe`/`install` pair per cache
-//! serves both the reference path (`access`/`fill`) and the stream
-//! engine's fast path (`lookup_fast`/`install_fast`).
+//! valid lines form a prefix, kept most-recent first under LRU. One
+//! private `probe`/`install` pair per cache serves both the reference path
+//! (`access`/`fill`) and the stream engine's fast path
+//! (`lookup_fast`/`install_fast`). The pair is generic over a const way
+//! count `W`: `W = 0` reads ways and policy from the config (every caller
+//! but one), and a nonzero `W` is the stream engine's stock all-LRU
+//! instantiation, where the scans have constant length and the policy
+//! branch folds away.
 
 use serde::{Deserialize, Serialize};
 
@@ -221,19 +226,29 @@ impl Cache {
         self.cfg
     }
 
-    #[inline]
-    fn set_range(&self, addr: u64) -> (usize, u64) {
+    /// Ways per set: `W` when nonzero, else the configured associativity.
+    #[inline(always)]
+    fn ways<const W: usize>(&self) -> usize {
+        if W == 0 {
+            self.cfg.associativity as usize
+        } else {
+            W
+        }
+    }
+
+    #[inline(always)]
+    fn set_range<const W: usize>(&self, addr: u64) -> (usize, u64) {
         let line_addr = addr >> self.line_shift;
         let set = (line_addr & self.set_mask) as usize;
         let tag = line_addr >> self.set_shift;
-        (set * self.cfg.associativity as usize, tag)
+        (set * self.ways::<W>(), tag)
     }
 
     /// Looks up `addr`; on hit refreshes LRU and returns `true`. Does not
     /// allocate on miss (use [`Cache::fill`]).
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> bool {
-        let (base, tag) = self.set_range(addr);
-        let hit = self.probe(base, tag);
+        let (base, tag) = self.set_range::<0>(addr);
+        let hit = self.probe::<0>(base, tag);
         match (kind, hit) {
             (AccessKind::Read, true) => self.stats.read_hits += 1,
             (AccessKind::Read, false) => self.stats.read_misses += 1,
@@ -248,8 +263,8 @@ impl Cache {
     /// was displaced. The line must not be resident: every caller fills
     /// only after a miss.
     pub fn fill(&mut self, addr: u64) -> Option<u64> {
-        let (base, tag) = self.set_range(addr);
-        let evicted = self.install(base, tag);
+        let (base, tag) = self.set_range::<0>(addr);
+        let evicted = self.install::<0>(base, tag);
         let set = (base / self.cfg.associativity as usize) as u64;
         (evicted != EMPTY).then(|| (evicted * self.cfg.num_sets() + set) * self.cfg.line_bytes)
     }
@@ -258,17 +273,19 @@ impl Cache {
     /// policy's recency update: under LRU the line moves to slot 0, under
     /// TreePlru its way is touched in the bit tree, and Random keeps no
     /// recency. The one hit path behind [`Cache::access`],
-    /// [`Cache::probe_silent`] and [`Cache::lookup_fast`].
-    #[inline]
-    fn probe(&mut self, base: usize, tag: u64) -> bool {
-        let ways = self.cfg.associativity as usize;
+    /// [`Cache::probe_silent`] and [`Cache::lookup_fast`]. A nonzero `W`
+    /// must equal the associativity of an LRU cache.
+    #[inline(always)]
+    fn probe<const W: usize>(&mut self, base: usize, tag: u64) -> bool {
+        let ways = self.ways::<W>();
         // lint: allow(reachable_panic): base is a set index times associativity, in range by construction
         let set = &mut self.tags[base..base + ways];
-        let Some(slot) = set.iter().position(|&line| line == tag) else {
+        let Some(slot) = find_slot::<W>(set, tag) else {
             return false;
         };
-        match self.cfg.policy {
-            ReplacementPolicy::Lru => promote(set, slot, tag),
+        let policy = if W == 0 { self.cfg.policy } else { ReplacementPolicy::Lru };
+        match policy {
+            ReplacementPolicy::Lru => promote::<W>(set, slot, tag),
             ReplacementPolicy::TreePlru => touch_plru(
                 // lint: allow(reachable_panic): base/ways is the set index, in range by construction
                 &mut self.plru[base / ways],
@@ -287,14 +304,16 @@ impl Cache {
     /// Under TreePlru and Random the line takes the first free slot, or the
     /// policy's victim when the set is full; the victim is drawn only then,
     /// so the bit tree and the xorshift state advance once per eviction.
-    #[inline]
-    fn install(&mut self, base: usize, tag: u64) -> u64 {
-        let ways = self.cfg.associativity as usize;
+    /// A nonzero `W` must equal the associativity of an LRU cache.
+    #[inline(always)]
+    fn install<const W: usize>(&mut self, base: usize, tag: u64) -> u64 {
+        let ways = self.ways::<W>();
         // lint: allow(reachable_panic): base is a set index times associativity, in range by construction
         let set = &mut self.tags[base..base + ways];
-        if self.cfg.policy == ReplacementPolicy::Lru {
+        if W != 0 || self.cfg.policy == ReplacementPolicy::Lru {
             let evicted = set[ways - 1];
-            promote(set, ways - 1, tag);
+            set.copy_within(..ways - 1, 1);
+            set[0] = tag;
             return evicted;
         }
         let way = match set.iter().position(|&line| line == EMPTY) {
@@ -339,11 +358,13 @@ impl Cache {
     /// minus statistics, which the caller tallies in bulk. A miss carries
     /// the set and tag to [`Cache::install_fast`], so the hierarchy can
     /// look further down before installing without splitting the address
-    /// again.
-    #[inline]
-    pub(crate) fn lookup_fast(&mut self, addr: u64) -> Lookup {
-        let (base, tag) = self.set_range(addr);
-        if self.probe(base, tag) {
+    /// again. `W` is the associativity of an LRU cache, or 0 for any cache
+    /// (see the module docs).
+    #[inline(always)]
+    pub(crate) fn lookup_fast<const W: usize>(&mut self, addr: u64) -> Lookup {
+        debug_assert!(W == 0 || self.is_lru_with_ways(W), "stock ways on a non-stock cache");
+        let (base, tag) = self.set_range::<W>(addr);
+        if self.probe::<W>(base, tag) {
             Lookup::Hit
         } else {
             Lookup::Miss(Miss { base, tag })
@@ -353,9 +374,16 @@ impl Cache {
     /// Fast-path install of a [`Cache::lookup_fast`] miss: [`Cache::fill`]
     /// minus the evicted-address reconstruction. Nothing touches the set
     /// between the lookup and the install, so the line is still absent.
-    #[inline]
-    pub(crate) fn install_fast(&mut self, miss: Miss) {
-        self.install(miss.base, miss.tag);
+    /// `W` is the one the lookup used.
+    #[inline(always)]
+    pub(crate) fn install_fast<const W: usize>(&mut self, miss: Miss) {
+        self.install::<W>(miss.base, miss.tag);
+    }
+
+    /// Whether this is an LRU cache with exactly `ways` ways — the
+    /// condition for running it through a nonzero-`W` instantiation.
+    pub(crate) fn is_lru_with_ways(&self, ways: usize) -> bool {
+        self.cfg.policy == ReplacementPolicy::Lru && self.cfg.associativity as usize == ways
     }
 
     /// Exact state transition of [`Cache::access`] with no statistics at
@@ -363,8 +391,8 @@ impl Cache {
     /// demand hit/miss counters.
     #[inline]
     pub(crate) fn probe_silent(&mut self, addr: u64) -> bool {
-        let (base, tag) = self.set_range(addr);
-        self.probe(base, tag)
+        let (base, tag) = self.set_range::<0>(addr);
+        self.probe::<0>(base, tag)
     }
 
     /// Appends this cache's behavioral state — everything a future access
@@ -399,12 +427,36 @@ impl Cache {
     }
 }
 
+/// The slot of `set` holding `key`, if any. Keys are unique within a set.
+/// With a const `W` the scan is branch-free: all `W` slots are compared and
+/// the first match is read off a bit mask. `W = 0` keeps an early-exit
+/// scan, which serves sets of any width.
+#[inline(always)]
+pub(crate) fn find_slot<const W: usize>(set: &[u64], key: u64) -> Option<usize> {
+    if W == 0 {
+        return set.iter().position(|&slot| slot == key);
+    }
+    const { assert!(W <= 64, "the match mask is one u64") };
+    let mut matches = 0u64;
+    for (i, &slot) in set.iter().enumerate() {
+        matches |= u64::from(slot == key) << i;
+    }
+    (matches != 0).then(|| matches.trailing_zeros() as usize)
+}
+
 /// Moves the line at `slot` of a most-recent-first set to slot 0 as `tag`,
 /// shifting slots `0..slot` down one. With `slot` the last slot this is an
-/// LRU install: the last line (or free slot) drops out.
-#[inline]
-pub(crate) fn promote(set: &mut [u64], slot: usize, tag: u64) {
-    set.copy_within(..slot, 1);
+/// LRU install: the last line (or free slot) drops out. A const `W` shifts
+/// with a short loop, which beats a `memmove` call at the stock widths.
+#[inline(always)]
+pub(crate) fn promote<const W: usize>(set: &mut [u64], slot: usize, tag: u64) {
+    if W == 0 {
+        set.copy_within(..slot, 1);
+    } else {
+        for i in (0..slot).rev() {
+            set[i + 1] = set[i];
+        }
+    }
     set[0] = tag;
 }
 
@@ -837,6 +889,26 @@ mod differential {
         CacheConfig::with_policy(sets * ways * line, line, ways as u32, policy)
     }
 
+    /// The fast-path lookup and install on the instantiation the stream
+    /// engine picks for these ways: the stock LRU widths 8 and 16 as
+    /// constants, anything else read from the config.
+    fn fast_access(cache: &mut Cache, addr: u64) -> bool {
+        fn on<const W: usize>(cache: &mut Cache, addr: u64) -> bool {
+            match cache.lookup_fast::<W>(addr) {
+                Lookup::Hit => true,
+                Lookup::Miss(miss) => {
+                    cache.install_fast::<W>(miss);
+                    false
+                }
+            }
+        }
+        match cache.cfg.associativity {
+            8 if cache.is_lru_with_ways(8) => on::<8>(cache, addr),
+            16 if cache.is_lru_with_ways(16) => on::<16>(cache, addr),
+            _ => on::<0>(cache, addr),
+        }
+    }
+
     /// Drives the slot-order cache and the stamp model side by side over a
     /// seeded mix of `access`, `fill`, `probe_silent`, the fast-path
     /// lookup/install pair, `reset` and `reset_stats`, comparing every hit
@@ -870,13 +942,7 @@ mod differential {
                 }
                 23..=37 => assert_eq!(cache.probe_silent(addr), model.probe(addr), "{at}: probe"),
                 38..=57 => {
-                    let hit = match cache.lookup_fast(addr) {
-                        Lookup::Hit => true,
-                        Lookup::Miss(miss) => {
-                            cache.install_fast(miss);
-                            false
-                        }
-                    };
+                    let hit = fast_access(&mut cache, addr);
                     let want = model.probe(addr);
                     if !want {
                         model.fill(addr);

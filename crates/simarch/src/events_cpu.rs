@@ -186,6 +186,13 @@ pub struct CpuEventDef {
     pub noise: NoiseModel,
 }
 
+impl CpuEventDef {
+    /// The exact count of this event for a workload that produced `stats`.
+    pub fn true_count(&self, stats: &ExecStats) -> f64 {
+        self.base.eval(stats) * self.scale
+    }
+}
+
 /// The event inventory of the simulated CPU.
 #[derive(Debug, Clone)]
 pub struct CpuEventSet {
@@ -237,7 +244,7 @@ impl CpuEventSet {
 
     /// True (pre-noise) count of an event for given execution stats.
     pub fn true_count(&self, id: EventId, stats: &ExecStats) -> Option<f64> {
-        self.defs.get(id.index()).map(|d| d.base.eval(stats) * d.scale)
+        self.defs.get(id.index()).map(|d| d.true_count(stats))
     }
 }
 

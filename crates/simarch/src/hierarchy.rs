@@ -184,10 +184,10 @@ impl Hierarchy {
     #[inline]
     pub(crate) fn prefetch_fast(&mut self, addr: u64) -> bool {
         let next = addr + self.l1.config().line_bytes;
-        match self.l1.lookup_fast(next) {
+        match self.l1.lookup_fast::<0>(next) {
             Lookup::Hit => false,
             Lookup::Miss(miss) => {
-                self.l1.install_fast(miss);
+                self.l1.install_fast::<0>(miss);
                 true
             }
         }
@@ -203,25 +203,40 @@ impl Hierarchy {
     /// stream replay engine via [`Hierarchy::add_bulk_stats`]). A missing
     /// level's lookup hands its set and tag to that level's install, so the
     /// address is split once per level; no level's set changes in between
-    /// (each install touches only its own level).
-    #[inline]
-    pub(crate) fn access_fast(&mut self, addr: u64) -> MemLevel {
-        let Lookup::Miss(l1) = self.l1.lookup_fast(addr) else {
+    /// (each install touches only its own level). `W1`/`W2`/`W3` are the
+    /// levels' ways when they are LRU with exactly those ways, 0 otherwise
+    /// (see `Cache::lookup_fast`).
+    #[inline(always)]
+    pub(crate) fn access_fast<const W1: usize, const W2: usize, const W3: usize>(
+        &mut self,
+        addr: u64,
+    ) -> MemLevel {
+        let Lookup::Miss(l1) = self.l1.lookup_fast::<W1>(addr) else {
             return MemLevel::L1;
         };
-        let Lookup::Miss(l2) = self.l2.lookup_fast(addr) else {
-            self.l1.install_fast(l1);
+        let Lookup::Miss(l2) = self.l2.lookup_fast::<W2>(addr) else {
+            self.l1.install_fast::<W1>(l1);
             return MemLevel::L2;
         };
-        let Lookup::Miss(l3) = self.l3.lookup_fast(addr) else {
-            self.l2.install_fast(l2);
-            self.l1.install_fast(l1);
+        let Lookup::Miss(l3) = self.l3.lookup_fast::<W3>(addr) else {
+            self.l2.install_fast::<W2>(l2);
+            self.l1.install_fast::<W1>(l1);
             return MemLevel::L3;
         };
-        self.l3.install_fast(l3);
-        self.l2.install_fast(l2);
-        self.l1.install_fast(l1);
+        self.l3.install_fast::<W3>(l3);
+        self.l2.install_fast::<W2>(l2);
+        self.l1.install_fast::<W1>(l1);
         MemLevel::Memory
+    }
+
+    /// Whether all three levels are LRU with `ways` ways each and the
+    /// prefetcher is off — the condition for a nonzero-ways
+    /// [`Hierarchy::access_fast`] pass with no prefetch.
+    pub(crate) fn is_lru_without_prefetch(&self, ways: [usize; 3]) -> bool {
+        !self.prefetch
+            && self.l1.is_lru_with_ways(ways[0])
+            && self.l2.is_lru_with_ways(ways[1])
+            && self.l3.is_lru_with_ways(ways[2])
     }
 
     /// Appends all three levels' canonical state (see

@@ -55,6 +55,41 @@ impl NoiseModel {
         v.max(0.0)
     }
 
+    /// [`NoiseModel::apply`] with the stream of `event_rng(seed, event,
+    /// run)`, bit for bit, seeding and drawing only when the value depends
+    /// on the draw; otherwise it returns `truth.max(0.0)`. The value does
+    /// not depend on the draw for:
+    ///
+    /// * `None`;
+    /// * `Multiplicative` on a `+0.0` count with `|sigma| * 38 < 1`.
+    ///   Box–Muller bounds every draw: `|g| <= sqrt(-2 ln
+    ///   f64::MIN_POSITIVE) < 37.65`, so `1 + sigma * g > 0` and
+    ///   `0.0 * (1 + sigma * g)` is `+0.0` before the clamp. A wider sigma
+    ///   can make the factor negative and the product `-0.0`, and then the
+    ///   clamp's choice between the two zeros decides the sign bit.
+    ///
+    /// Every stream is seeded from its own triple, so a skipped draw moves
+    /// no other value.
+    pub fn observe(&self, truth: f64, seed: u64, event: usize, run: usize) -> f64 {
+        if self.draws(truth) {
+            self.apply(truth, &mut event_rng(seed, event, run))
+        } else {
+            truth.max(0.0)
+        }
+    }
+
+    /// Whether reading `truth` through this model depends on the noise
+    /// draw (see [`NoiseModel::observe`]).
+    fn draws(&self, truth: f64) -> bool {
+        match *self {
+            NoiseModel::None => false,
+            NoiseModel::Multiplicative { sigma } => {
+                !(truth.to_bits() == 0 && sigma.abs() * 38.0 < 1.0)
+            }
+            NoiseModel::Additive { .. } | NoiseModel::Unrelated { .. } => true,
+        }
+    }
+
     /// True when the model always returns the exact count.
     pub fn is_exact(&self) -> bool {
         matches!(self, NoiseModel::None)
@@ -143,6 +178,53 @@ mod tests {
         let c: f64 = event_rng(7, 2, 2).gen();
         assert_ne!(a1, b);
         assert_ne!(a1, c);
+    }
+
+    #[test]
+    fn observe_matches_apply_bit_for_bit() {
+        let models = [
+            NoiseModel::None,
+            NoiseModel::Multiplicative { sigma: 0.02 },
+            NoiseModel::Multiplicative { sigma: -0.026 },
+            // 1/38 sits between these two: the first may skip the draw.
+            NoiseModel::Multiplicative { sigma: 0.0263 },
+            NoiseModel::Multiplicative { sigma: 0.0264 },
+            NoiseModel::Multiplicative { sigma: 0.3 },
+            // Here `1 + sigma * g < 0` in a share of draws, so a zero count
+            // reads back as `0.0 * negative`; skipping those draws would
+            // be wrong wherever `max` keeps the `-0.0`.
+            NoiseModel::Multiplicative { sigma: 0.9 },
+            NoiseModel::Multiplicative { sigma: -1.5 },
+            NoiseModel::Multiplicative { sigma: 10.0 },
+            NoiseModel::Additive { scale: 5.0 },
+            NoiseModel::Unrelated { mean: 50.0, spread: 0.1 },
+            NoiseModel::Unrelated { mean: 50.0, spread: 3.0 },
+        ];
+        let counts = [0.0, -0.0, 1.0, 123.5, -7.0, 1e12, f64::NAN];
+        let mut checked = 0;
+        for model in models {
+            for truth in counts {
+                for t in 0..1_000u64 {
+                    let (seed, event, run) = (t * 0x9E37, (t % 97) as usize, (t * 31) as usize);
+                    let at = format!("{model:?} on {truth}: seed {seed}, event {event}, run {run}");
+                    let want = model.apply(truth, &mut event_rng(seed, event, run));
+                    let got = model.observe(truth, seed, event, run);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{at}");
+                    // A skipped multiplicative draw must not matter even
+                    // before the clamp, whose choice between `-0.0` and
+                    // `+0.0` can vary with code generation.
+                    if let NoiseModel::Multiplicative { sigma } = model {
+                        if !model.draws(truth) {
+                            let g = gaussian(&mut event_rng(seed, event, run));
+                            let raw = truth * (1.0 + sigma * g);
+                            assert_eq!(raw.to_bits(), got.to_bits(), "{at}: unclamped");
+                        }
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, models.len() * counts.len() * 1_000);
     }
 
     #[test]

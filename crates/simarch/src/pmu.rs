@@ -10,8 +10,7 @@
 
 use crate::cpu::ExecStats;
 use crate::events_cpu::{CpuBase, CpuEventDef, CpuEventSet};
-use crate::gpu::{GpuEventSet, GpuStats};
-use crate::noise::event_rng;
+use crate::gpu::{GpuEventDef, GpuEventSet, GpuStats};
 use catalyze_events::EventId;
 use serde::{Deserialize, Serialize};
 
@@ -171,13 +170,41 @@ impl CpuPmu {
             .iter()
             .zip(groups)
             .map(|(&id, &group)| {
-                // lint: allow(panic, reachable_panic): ids were validated when the schedule was built
+                // lint: allow(panic): ids were validated when the schedule was built
                 let def = set.def(id).expect("validated by schedule");
-                let truth = def.base.eval(stats) * def.scale;
-                let mut rng = event_rng(self.cfg.seed, id.index(), run * 1_000_003 + group);
-                def.noise.apply(truth, &mut rng)
+                self.observe_cpu(def, id, def.true_count(stats), group, run)
             })
             .collect()
+    }
+
+    /// The read-back of CPU event `id` (definition `def`) with true count
+    /// `truth`, in counter group `group` of repetition `run` — the value
+    /// [`CpuPmu::read_cpu`] reports for it. Lets a sweep evaluate each true
+    /// count once and observe it for every repetition.
+    pub fn observe_cpu(
+        &self,
+        def: &CpuEventDef,
+        id: EventId,
+        truth: f64,
+        group: usize,
+        run: usize,
+    ) -> f64 {
+        def.noise.observe(truth, self.cfg.seed, id.index(), run * 1_000_003 + group)
+    }
+
+    /// The read-back of GPU event `id` (definition `def`) with true count
+    /// `truth`, at position `pos` of the read list in repetition `run` —
+    /// the value [`CpuPmu::read_gpu`] reports for it.
+    pub fn observe_gpu(
+        &self,
+        def: &GpuEventDef,
+        id: EventId,
+        truth: f64,
+        pos: usize,
+        run: usize,
+    ) -> f64 {
+        let group = pos / self.cfg.counters.max(1);
+        def.noise.observe(truth, self.cfg.seed ^ 0x6770, id.index(), run * 1_000_003 + group)
     }
 
     /// Reads GPU `events` against per-device statistics.
@@ -194,13 +221,10 @@ impl CpuPmu {
             .map(|(pos, &id)| {
                 let def = set
                     .def(id)
-                    // lint: allow(panic, reachable_panic): scheduling an id outside the event set is a programming error
+                    // lint: allow(panic): scheduling an id outside the event set is a programming error
                     .unwrap_or_else(|| panic!("unknown GPU event id {}", id.index()));
                 let truth = set.true_count(id, devices).unwrap_or(0.0);
-                let group = pos / self.cfg.counters.max(1);
-                let mut rng =
-                    event_rng(self.cfg.seed ^ 0x6770, id.index(), run * 1_000_003 + group);
-                def.noise.apply(truth, &mut rng)
+                self.observe_gpu(def, id, truth, pos, run)
             })
             .collect()
     }

@@ -64,7 +64,7 @@ const MEMO_CAPACITY: usize = 8;
 /// (per-level hit/miss splits, load attribution, prefetch fills, and
 /// latency penalties) are linear in these buckets, which is what makes
 /// collapsed passes exact.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct PassTally {
     /// Demand reads satisfied at L1/L2/L3/memory.
     read_lv: [u64; 4],
@@ -255,38 +255,46 @@ impl PassTally {
     }
 }
 
+/// Drives one pass on the instantiation of [`drive_pass`] the units
+/// allow: the stock ways — a 4-way TLB and 8/8/16-way L1/L2/L3, all LRU,
+/// no prefetcher, the default simulated core — get every way count as a
+/// compile-time constant; any other geometry, policy or prefetcher reads
+/// them from the config.
+fn drive(tlb: &mut Tlb, hierarchy: &mut Hierarchy, mem: &[MemRun]) -> PassTally {
+    if tlb.ways() == 4 && hierarchy.is_lru_without_prefetch([8, 8, 16]) {
+        drive_pass::<4, 8, 8, 16>(tlb, hierarchy, mem)
+    } else {
+        drive_pass::<0, 0, 0, 0>(tlb, hierarchy, mem)
+    }
+}
+
 /// Drives one full pass of the stream, mirroring direct execution's
 /// per-address call sequence exactly, including the next-line prefetch
 /// after every access satisfied below L1.
-fn drive_pass(tlb: &mut Tlb, hierarchy: &mut Hierarchy, mem: &[MemRun]) -> PassTally {
+///
+/// `T`, `W1`, `W2` and `W3` are the TLB's and each cache level's ways, or
+/// 0 to read them from the config. Nonzero ways imply LRU levels and no
+/// prefetcher (see [`drive`]), so the prefetch branch folds away with them.
+fn drive_pass<const T: usize, const W1: usize, const W2: usize, const W3: usize>(
+    tlb: &mut Tlb,
+    hierarchy: &mut Hierarchy,
+    mem: &[MemRun],
+) -> PassTally {
     let mut tally = PassTally::default();
-    let prefetch = hierarchy.prefetch_enabled();
+    let prefetch = W1 == 0 && hierarchy.prefetch_enabled();
     for run in mem {
-        let is_read = run.kind == AccessKind::Read;
-        if prefetch {
-            for &addr in &run.addrs {
-                if tlb.translate_fast(addr) {
-                    tally.tlb_hits += 1;
-                } else {
-                    tally.tlb_misses += 1;
-                }
-                let level = hierarchy.access_fast(addr);
-                let lv = if is_read { &mut tally.read_lv } else { &mut tally.write_lv };
-                lv[level_index(level)] += 1;
-                if level != MemLevel::L1 && hierarchy.prefetch_fast(addr) {
-                    tally.prefetch_fills += 1;
-                }
+        let lv =
+            if run.kind == AccessKind::Read { &mut tally.read_lv } else { &mut tally.write_lv };
+        for &addr in &run.addrs {
+            if tlb.translate_fast::<T>(addr) {
+                tally.tlb_hits += 1;
+            } else {
+                tally.tlb_misses += 1;
             }
-        } else {
-            let lv = if is_read { &mut tally.read_lv } else { &mut tally.write_lv };
-            for &addr in &run.addrs {
-                if tlb.translate_fast(addr) {
-                    tally.tlb_hits += 1;
-                } else {
-                    tally.tlb_misses += 1;
-                }
-                // lint: allow(reachable_panic): level_index maps the four MemLevel variants to 0..4
-                lv[level_index(hierarchy.access_fast(addr))] += 1;
+            let level = hierarchy.access_fast::<W1, W2, W3>(addr);
+            lv[level_index(level)] += 1;
+            if prefetch && level != MemLevel::L1 && hierarchy.prefetch_fast(addr) {
+                tally.prefetch_fills += 1;
             }
         }
     }
@@ -368,7 +376,7 @@ fn replay_mem_counted(
             std::mem::swap(&mut canon_prev, &mut canon_cur);
             have_prev = true;
         }
-        last = drive_pass(tlb, hierarchy, mem);
+        last = drive(tlb, hierarchy, mem);
         last.flush(tlb, hierarchy, 1);
         penalty += last.penalty(timing);
         driven += 1;
@@ -503,6 +511,11 @@ mod tests {
         }
         MemRun { kind: AccessKind::Read, addrs }
     }
+
+    // The parity tests below run the 4-way TLB and 8/8/16-way caches of
+    // `hierarchy_with`, so under LRU without prefetch they drive the stock
+    // `drive_pass::<4, 8, 8, 16>` instantiation, and every other policy or
+    // prefetch row the runtime-ways `drive_pass::<0, 0, 0, 0>`.
 
     #[test]
     fn parity_for_fitting_working_set() {
@@ -704,6 +717,80 @@ mod tests {
         }
         assert!(memo.entries.len() <= MEMO_CAPACITY, "table grew past capacity");
         assert_eq!(memo.entries.len(), MEMO_CAPACITY, "distinct streams should fill the table");
+    }
+
+    /// Reads that hit every slot of every unit on the `units()` geometry.
+    /// For each cache level (ways `w`, set stride `stride`) it fills one
+    /// set with `w` lines, pushes them out of the smaller levels above with
+    /// eight lines half a stride away (same set there, another set here),
+    /// then reads them newest first, so the k-th read hits slot k. The
+    /// TLB gets the same fill-then-reverse pattern over one of its sets.
+    fn every_slot_stream() -> MemRun {
+        let mut addrs = Vec::new();
+        let mut reverse_fill = |base: u64, stride: u64, ways: u64, fillers: bool| {
+            let lines: Vec<u64> = (0..ways).map(|i| base + i * stride).collect();
+            addrs.extend(&lines);
+            if fillers {
+                addrs.extend((0..8).map(|k| base + stride / 2 + k * stride));
+            }
+            addrs.extend(lines.iter().rev());
+        };
+        // (stride, ways) of L1, L2 and L3 in `hierarchy_with`.
+        for (level, (stride, ways)) in [(512, 8), (2048, 8), (4096, 16)].into_iter().enumerate() {
+            reverse_fill((level as u64 + 1) << 20, stride, ways, level > 0);
+        }
+        // 16-entry 4-way TLB of 4 KiB pages: four sets.
+        reverse_fill(4 << 20, 4 * 4096, 4, false);
+        MemRun { kind: AccessKind::Read, addrs }
+    }
+
+    /// Drives `trips` passes on one instantiation of `drive_pass`, and
+    /// returns every tally, the final canonical state and the units.
+    fn drive_on<const T: usize, const W1: usize, const W2: usize, const W3: usize>(
+        mem: &[MemRun],
+        trips: usize,
+    ) -> (Vec<PassTally>, Vec<u64>, Tlb, Hierarchy) {
+        let (mut tlb, mut hier) = units();
+        let tallies = (0..trips).map(|_| drive_pass::<T, W1, W2, W3>(&mut tlb, &mut hier, mem));
+        let tallies = tallies.collect();
+        let mut canon = Vec::new();
+        tlb.canonical_into(&mut canon);
+        hier.canonical_into(&mut canon);
+        (tallies, canon, tlb, hier)
+    }
+
+    #[test]
+    fn stock_and_runtime_instantiations_agree() {
+        let loads = MemRun {
+            kind: AccessKind::Read,
+            addrs: (0..3000u64).map(|i| scramble(i + 11) % 2048 * 64).collect(),
+        };
+        let stores = MemRun {
+            kind: AccessKind::Write,
+            addrs: (0..600u64).map(|i| scramble(i + 29) % 512 * 64).collect(),
+        };
+        let streams: [(&str, Vec<MemRun>); 4] = [
+            ("fitting", vec![chase(32, 5)]),
+            ("thrashing", vec![chase(4096, 9)]),
+            ("mixed kinds", vec![loads, stores, chase(900, 3)]),
+            ("every slot", vec![every_slot_stream()]),
+        ];
+        let probes: Vec<u64> = (0..512u64).map(|i| i * 4096 + (i % 7) * 64).collect();
+        for (name, mem) in &streams {
+            let (tallies_rt, canon_rt, mut tlb_rt, mut hier_rt) = drive_on::<0, 0, 0, 0>(mem, 3);
+            let (tallies, canon, mut tlb, mut hier) = drive_on::<4, 8, 8, 16>(mem, 3);
+            assert_eq!(tallies, tallies_rt, "{name}: pass tallies");
+            assert_eq!(canon, canon_rt, "{name}: canonical state");
+            for &addr in &probes {
+                assert_eq!(tlb.translate(addr), tlb_rt.translate(addr), "{name}: TLB probe");
+                let level = hier.access(addr, AccessKind::Read);
+                assert_eq!(level, hier_rt.access(addr, AccessKind::Read), "{name}: probe level");
+            }
+        }
+        // The every-slot stream reaches each level and the TLB hits.
+        let (tallies, ..) = drive_on::<4, 8, 8, 16>(&[every_slot_stream()], 1);
+        assert!(tallies[0].read_lv[..3].iter().all(|&n| n > 0), "{:?}", tallies[0]);
+        assert!(tallies[0].tlb_hits > 0);
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! Always true LRU, stored like an LRU cache set: a row of VPN slots per
 //! set, most recent first. `translate_fast` is the one per-set
-//! implementation; `translate` adds statistics to it.
+//! implementation; `translate` adds statistics to it. Like the cache's
+//! `probe`/`install`, it is generic over a const way count, 0 meaning
+//! "read it from the config".
 
-use crate::cache::{promote, EMPTY};
+use crate::cache::{find_slot, promote, EMPTY};
 use serde::{Deserialize, Serialize};
 
 /// TLB geometry.
@@ -83,7 +85,7 @@ impl Tlb {
     /// Translates an address; returns `true` on TLB hit. Misses install the
     /// translation (after the implied page walk).
     pub fn translate(&mut self, addr: u64) -> bool {
-        let hit = self.translate_fast(addr);
+        let hit = self.translate_fast::<0>(addr);
         if hit {
             self.stats.hits += 1;
         } else {
@@ -96,15 +98,30 @@ impl Tlb {
     /// tallies in bulk — the one per-set implementation behind both. A hit
     /// moves the entry to slot 0; a miss moves the whole set down one slot,
     /// dropping the LRU entry (or a free slot), and installs in slot 0.
-    #[inline]
-    pub(crate) fn translate_fast(&mut self, addr: u64) -> bool {
+    /// A nonzero `W` must equal the associativity.
+    #[inline(always)]
+    pub(crate) fn translate_fast<const W: usize>(&mut self, addr: u64) -> bool {
+        debug_assert!(W == 0 || self.ways() == W, "stock ways on a non-stock TLB");
         let vpn = addr >> self.page_shift;
-        let ways = self.cfg.associativity as usize;
+        let ways = if W == 0 { self.ways() } else { W };
         let base = (vpn & self.set_mask) as usize * ways;
         let set = &mut self.vpns[base..base + ways];
-        let slot = set.iter().position(|&entry| entry == vpn);
-        promote(set, slot.unwrap_or(ways - 1), vpn);
-        slot.is_some()
+        match find_slot::<W>(set, vpn) {
+            Some(slot) => {
+                promote::<W>(set, slot, vpn);
+                true
+            }
+            None => {
+                set.copy_within(..ways - 1, 1);
+                set[0] = vpn;
+                false
+            }
+        }
+    }
+
+    /// Ways per set.
+    pub(crate) fn ways(&self) -> usize {
+        self.cfg.associativity as usize
     }
 
     /// Appends the behavioral state: the slot row itself, valid VPNs most
@@ -267,7 +284,13 @@ mod differential {
                     3..=40 => {
                         // The stream engine's shape: no per-access stats,
                         // then a bulk flush.
-                        let hit = tlb.translate_fast(addr);
+                        // The stock 4-way TLB runs the const-ways
+                        // instantiation, as in the stream engine.
+                        let hit = if ways == 4 {
+                            tlb.translate_fast::<4>(addr)
+                        } else {
+                            tlb.translate_fast::<0>(addr)
+                        };
                         tlb.add_stats(u64::from(hit), u64::from(!hit));
                         assert_eq!(hit, model.translate(addr), "{at}: fast path");
                     }

@@ -104,6 +104,28 @@ pub struct WorkspaceGraph {
     pub calls: Vec<Vec<usize>>,
 }
 
+/// The code-token index after a turbofish (`::<...>`) starting at `c`, or
+/// `c` when none starts there, so `f::<W>(x)` reads as a call of `f` just
+/// like `f(x)`. Stops at `close`, the end of the enclosing body.
+fn after_turbofish(fa: &FileAnalysis<'_>, c: usize, close: usize) -> usize {
+    if fa.ctx.code_text(c) != "::" || fa.ctx.code_text(c + 1) != "<" {
+        return c;
+    }
+    let mut depth = 0i32;
+    for t in c + 1..close {
+        match fa.ctx.code_text(t) {
+            "<" => depth += 1,
+            ">" => depth -= 1,
+            ">>" => depth -= 2,
+            _ => {}
+        }
+        if depth <= 0 {
+            return t + 1;
+        }
+    }
+    c
+}
+
 /// Keywords that look like calls when followed by `(`.
 const NOT_CALLS: [&str; 12] =
     ["if", "while", "for", "match", "return", "loop", "fn", "move", "in", "let", "else", "break"];
@@ -157,7 +179,7 @@ impl WorkspaceGraph {
             let mut c = open + 1;
             while c < close {
                 if fa.ctx.code_token(c).map(|t| t.kind) == Some(crate::lexer::TokenKind::Ident)
-                    && fa.ctx.code_text(c + 1) == "("
+                    && fa.ctx.code_text(after_turbofish(fa, c + 1, close)) == "("
                 {
                     let name = fa.ctx.code_text(c);
                     let prev = if c == 0 { "" } else { fa.ctx.code_text(c - 1) };
@@ -459,6 +481,20 @@ mod tests {
         let free_go = graph.fns.iter().position(|f| f.owner.is_none() && f.name == "go").unwrap();
         assert!(graph.calls[caller].contains(&method));
         assert!(!graph.calls[caller].contains(&free_go), "`.go()` cannot be the free fn");
+    }
+
+    #[test]
+    fn turbofish_calls_are_calls() {
+        let files = ws(&[(
+            "crates/a/src/lib.rs",
+            "pub struct S;\nimpl S { fn go<const W: usize>(&self) {} }\nfn free<T>() {}\npub fn caller(s: &S) { s.go::<0>(); free::<Vec<Vec<u8>>>(); }",
+        )]);
+        let analyses: Vec<FileAnalysis<'_>> = files.iter().map(FileAnalysis::new).collect();
+        let graph = WorkspaceGraph::build(&analyses);
+        let idx = |q: &str| graph.fns.iter().position(|f| f.qual == q).unwrap();
+        let caller = idx("a::caller");
+        assert!(graph.calls[caller].contains(&idx("a::S::go")), "method turbofish");
+        assert!(graph.calls[caller].contains(&idx("a::free")), "nested `>>` closes the turbofish");
     }
 
     #[test]

@@ -125,6 +125,25 @@ fn measurements_match_recorded_digests() {
             got.push((format!("{domain}/{label}"), run(domain, &base, engine)));
         }
     }
+    let gpu_set = mi250x_like(base.gpu_devices);
+    for (engine, label) in [(SimEngine::Direct, "direct"), (SimEngine::Replay, "replay")] {
+        let ms = SimRequest::new()
+            .domain(Domain::GpuFlops)
+            .gpu_events(&gpu_set)
+            .config(&base)
+            .engine(engine)
+            .run()
+            .expect("valid request");
+        got.push((format!("gpu-flops/{label}"), digest(&ms)));
+    }
+    // A non-stock LRU geometry (16-way L2) runs the stream engine's
+    // runtime-ways instantiation on the product path. The chases do not
+    // depend on L2 associativity, so its digest equals the stock one; a
+    // faulty runtime-ways LRU would move it.
+    let mut wide_l2 = base;
+    let l2 = &mut wide_l2.core.hierarchy.l2;
+    *l2 = CacheConfig::with_policy(l2.size_bytes, l2.line_bytes, 16, ReplacementPolicy::Lru);
+    got.push(("dcache/l2=16way/replay".into(), run(Domain::Dcache, &wide_l2, SimEngine::Replay)));
     for (policy, label) in [
         (ReplacementPolicy::Lru, "lru"),
         (ReplacementPolicy::TreePlru, "plru"),
@@ -148,7 +167,7 @@ fn measurements_match_recorded_digests() {
             }
         }
     }
-    let expected: [(&str, u64); 28] = [
+    let expected: [(&str, u64); 31] = [
         ("cpu-flops/direct", 0x89bad8c045bb6b5b),
         ("cpu-flops/replay", 0x89bad8c045bb6b5b),
         ("branch/direct", 0xd5e1404117015328),
@@ -159,6 +178,9 @@ fn measurements_match_recorded_digests() {
         ("dtlb/replay", 0x4cf0b2f747bb71ce),
         ("dstore/direct", 0xc35585d21baf0fd9),
         ("dstore/replay", 0xc35585d21baf0fd9),
+        ("gpu-flops/direct", 0xdfc1ece1acf28876),
+        ("gpu-flops/replay", 0xdfc1ece1acf28876),
+        ("dcache/l2=16way/replay", 0x0941b87abda7b240),
         ("dcache/lru/prefetch=false", 0x0941b87abda7b240),
         ("dstore/lru/prefetch=false", 0xc35585d21baf0fd9),
         ("dtlb/lru/prefetch=false", 0x4cf0b2f747bb71ce),
