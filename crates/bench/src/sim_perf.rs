@@ -14,8 +14,10 @@
 //! engines stayed byte-identical on the robustness-sweep configurations.
 //!
 //! A `stream` object attributes the memory chases' cost to the stream
-//! engine's drive loop: single-thread `Cpu::replay_passes` over the warmup
-//! passes of the dcache 4×L3, stride-64 point, in ns per access.
+//! engine: single-thread `Cpu::replay_passes` over the warmup passes of
+//! the dcache 4×L3, stride-64 point, in ns per access — once from empty
+//! caches, where both passes are counted, and once behind one unrelated
+//! line, where the drive loop runs.
 //!
 //! CI gates on this artifact: `run/dcache` and `run/dstore` must not
 //! regress more than 1.3x over the committed snapshot, the dstore replay
@@ -26,7 +28,10 @@ use crate::Scale;
 use catalyze_cat::{dcache, Domain, MeasurementSet, RunnerConfig, SimEngine, SimRequest};
 use catalyze_obs::TraceCollector;
 use catalyze_sim::cache::{CacheConfig, ReplacementPolicy};
-use catalyze_sim::{sapphire_rapids_like, CoreConfig, Cpu, CpuEventSet, KernelTrace};
+use catalyze_sim::{
+    sapphire_rapids_like, Block, CoreConfig, Cpu, CpuEventSet, Instruction, Item, KernelTrace,
+    Program,
+};
 use std::time::Instant;
 
 /// Timing repetitions per engine; the minimum over them is reported.
@@ -130,9 +135,14 @@ fn core_with_policy(mut core: CoreConfig, policy: ReplacementPolicy, prefetch: b
 
 /// The stream row: times `n` single-thread `Cpu::replay_passes` calls over
 /// the warmup passes of the dcache 4×L3, stride-64 point (thread 0's
-/// chase), each on a fresh core. Both passes are driven — a cold one, then
-/// the first warm one — so every access runs the drive loop, the per-access
-/// cost the memory-region points pay.
+/// chase) — a cold pass, then the first warm one — each on a fresh core.
+///
+/// `ns_per_access_*` time them as the runners run them: the caches start
+/// empty and the chase visits each line once per pass, so both passes are
+/// counted per set. `driven_ns_per_access_*` time the same two passes on a
+/// core whose caches already hold one unrelated line, which makes the
+/// stream engine drive every access — the per-access cost every other
+/// pass pays.
 fn stream_row(cfg: &RunnerConfig, n: usize) -> String {
     let h = cfg.core.hierarchy;
     let sweep = dcache::sweep(&h);
@@ -143,23 +153,35 @@ fn stream_row(cfg: &RunnerConfig, n: usize) -> String {
         // lint: allow(panic): the dcache sweep always has a 4xL3 footprint at stride 64
         .expect("4xL3 stride-64 point in the dcache sweep");
     let trace = KernelTrace::record(&point.program(1 << 40, index as u64, dcache::MEASURE_PASSES));
+    let unrelated = Block::new().push(Instruction::Load { addr: 1 << 50, size: 8 });
+    let unrelated = Program::new().item(Item::Block(unrelated));
     let mut accesses = 0;
-    let mut ns_per_access = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut cpu = Cpu::new(cfg.core);
-        // lint: allow(raw_timing): single-thread stream timing; its result is the artifact itself
-        let start = Instant::now();
-        cpu.replay_passes(&trace, dcache::WARMUP_PASSES);
-        let ns = start.elapsed().as_nanos() as f64;
-        let tlb = cpu.stats().tlb;
-        accesses = tlb.hits + tlb.misses;
-        ns_per_access.push(ns / accesses.max(1) as f64);
-    }
-    let min = ns_per_access.iter().copied().fold(f64::INFINITY, f64::min);
-    let median = catalyze_linalg::vector::median_in_place(&mut ns_per_access).unwrap_or(0.0);
+    let mut time = |warm: bool| {
+        let mut ns_per_access = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut cpu = Cpu::new(cfg.core);
+            if warm {
+                cpu.run(&unrelated);
+                cpu.reset_stats();
+            }
+            // lint: allow(raw_timing): single-thread stream timing; its result is the artifact itself
+            let start = Instant::now();
+            cpu.replay_passes(&trace, dcache::WARMUP_PASSES);
+            let ns = start.elapsed().as_nanos() as f64;
+            let tlb = cpu.stats().tlb;
+            accesses = tlb.hits + tlb.misses;
+            ns_per_access.push(ns / accesses.max(1) as f64);
+        }
+        let min = ns_per_access.iter().copied().fold(f64::INFINITY, f64::min);
+        (catalyze_linalg::vector::median_in_place(&mut ns_per_access).unwrap_or(0.0), min)
+    };
+    let (median, min) = time(false);
+    let (driven_median, driven_min) = time(true);
     format!(
         "{{\"point\":\"{}\",\"repeats\":{n},\"accesses\":{accesses},\
-         \"ns_per_access_median\":{median:.3},\"ns_per_access_min\":{min:.3}}}",
+         \"ns_per_access_median\":{median:.3},\"ns_per_access_min\":{min:.3},\
+         \"driven_ns_per_access_median\":{driven_median:.3},\
+         \"driven_ns_per_access_min\":{driven_min:.3}}}",
         point.label(&h),
     )
 }
@@ -253,14 +275,17 @@ mod tests {
             assert!(row["direct_ns"].as_u64().unwrap() > 0, "{tag}");
             assert!(row["replay_ns"].as_u64().unwrap() > 0, "{tag}");
         }
-        // The stream row times both driven warmup passes of the 4xL3,
-        // stride-64 dcache point: 65,536 pointers each on the stock core.
+        // The stream row times both warmup passes of the 4xL3, stride-64
+        // dcache point, 65,536 pointers each on the stock core: counted
+        // from empty caches, and driven behind one unrelated line.
         let stream = &parsed["stream"];
         assert_eq!(stream["point"].as_str(), Some("stride=64B/ptrs=65536/M"));
         assert_eq!(stream["repeats"].as_u64(), Some(2 * reps(Scale::Fast) as u64 + 1));
         assert_eq!(stream["accesses"].as_u64(), Some(2 * 65_536));
-        let median = stream["ns_per_access_median"].as_f64().unwrap();
-        let min = stream["ns_per_access_min"].as_f64().unwrap();
-        assert!(min > 0.0 && min <= median, "min {min}, median {median}");
+        for path in ["", "driven_"] {
+            let median = stream[format!("{path}ns_per_access_median").as_str()].as_f64().unwrap();
+            let min = stream[format!("{path}ns_per_access_min").as_str()].as_f64().unwrap();
+            assert!(min > 0.0 && min <= median, "{path}: min {min}, median {median}");
+        }
     }
 }

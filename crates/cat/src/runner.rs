@@ -105,21 +105,42 @@ fn record_runner_counters(obs: &dyn Observer, points: usize, events: usize, repe
     obs.counter("runner.repetitions", repetitions as u64);
 }
 
+/// The stream engine's counters, summed over a sweep's cores.
+#[derive(Debug, Default, Clone, Copy)]
+struct EngineCounts {
+    /// Memo and collapse counters (`Cpu::stream_stats`).
+    stream: StreamStats,
+    /// Passes counted instead of driven (`Cpu::passes_counted`).
+    passes_counted: u64,
+}
+
+impl EngineCounts {
+    fn of(cpu: &Cpu) -> Self {
+        Self { stream: cpu.stream_stats(), passes_counted: cpu.passes_counted() }
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.stream.merge(other.stream);
+        self.passes_counted += other.passes_counted;
+    }
+}
+
 /// Publishes which engine actually served a CPU runner, plus the stream
-/// engine's memo counters summed over the sweep's cores.
+/// engine's counters summed over the sweep's cores.
 ///
 /// Exactly one labelled counter is bumped by 1 per run, so summed traces
 /// count runs per engine: `runner.engine.direct` for `Direct` reference
 /// execution, `runner.engine.replay` for `Replay`.
-fn record_engine_counters(obs: &dyn Observer, engine: SimEngine, stream: StreamStats) {
+fn record_engine_counters(obs: &dyn Observer, engine: SimEngine, counts: EngineCounts) {
     let name = match engine {
         SimEngine::Direct => "runner.engine.direct",
         SimEngine::Replay => "runner.engine.replay",
     };
     obs.counter(name, 1);
-    obs.counter("stream.memo_hits", stream.memo_hits);
-    obs.counter("stream.memo_misses", stream.memo_misses);
-    obs.counter("stream.passes_collapsed", stream.passes_collapsed);
+    obs.counter("stream.memo_hits", counts.stream.memo_hits);
+    obs.counter("stream.memo_misses", counts.stream.memo_misses);
+    obs.counter("stream.passes_collapsed", counts.stream.passes_collapsed);
+    obs.counter("stream.passes_counted", counts.passes_counted);
 }
 
 /// Reads every event at every point of a sweep, for each repetition,
@@ -195,16 +216,16 @@ fn simulate_points<F>(
     obs: &dyn Observer,
     engine: SimEngine,
     simulate_point: F,
-) -> (Vec<ExecStats>, StreamStats)
+) -> (Vec<ExecStats>, EngineCounts)
 where
     F: Fn(usize) -> Cpu + Sync,
 {
     let mut points: Vec<usize> = (0..costs.len()).collect();
     let run = |&p: &usize| {
         let cpu = simulate_point(p);
-        (p, cpu.stats(), cpu.stream_stats())
+        (p, cpu.stats(), EngineCounts::of(&cpu))
     };
-    let mut cpus: Vec<(usize, ExecStats, StreamStats)> = match engine {
+    let mut cpus: Vec<(usize, ExecStats, EngineCounts)> = match engine {
         SimEngine::Direct => points.iter().map(run).collect(),
         SimEngine::Replay => {
             let _s = Span::enter(obs, "replay");
@@ -213,15 +234,15 @@ where
         }
     };
     cpus.sort_by_key(|&(p, ..)| p);
-    let mut stream = StreamStats::default();
+    let mut counts = EngineCounts::default();
     let stats = cpus
         .into_iter()
         .map(|(_, s, per_cpu)| {
-            stream.merge(per_cpu);
+            counts.merge(per_cpu);
             s
         })
         .collect();
-    (stats, stream)
+    (stats, counts)
 }
 
 /// Simulates one program per sweep point on a fresh core: `Direct` runs
@@ -232,7 +253,7 @@ fn simulate_sweep<F>(
     program_of: F,
     obs: &dyn Observer,
     engine: SimEngine,
-) -> (Vec<ExecStats>, StreamStats)
+) -> (Vec<ExecStats>, EngineCounts)
 where
     F: Fn(usize) -> Program + Sync,
 {
@@ -263,7 +284,7 @@ fn simulate_chase_sweep<F>(
     measure_passes: u64,
     obs: &dyn Observer,
     engine: SimEngine,
-) -> (Vec<ExecStats>, StreamStats)
+) -> (Vec<ExecStats>, EngineCounts)
 where
     F: Fn(usize, u64) -> Program + Sync,
 {
@@ -455,7 +476,7 @@ fn dcache_sweep(
     configs: &[dcache::ChaseConfig],
     obs: &dyn Observer,
     engine: SimEngine,
-) -> (Vec<Vec<ExecStats>>, StreamStats) {
+) -> (Vec<Vec<ExecStats>>, EngineCounts) {
     let n = configs.len();
     let (stats, stream) = simulate_chase_sweep(
         cfg.core,
@@ -740,6 +761,8 @@ mod tests {
         assert!(trace.counter_value("stream.memo_hits").is_some());
         assert!(trace.counter_value("stream.memo_misses").is_some());
         assert!(trace.counter_value("stream.passes_collapsed").is_some());
+        // Branch kernels have no memory stream, so nothing is counted.
+        assert_eq!(trace.counter_value("stream.passes_counted").unwrap_or(0), 0);
         // The noop-observer path produces the same measurements.
         let plain = measure_branch(&set, &cfg, &NoopObserver);
         assert_eq!(plain.runs, ms.runs);
@@ -763,6 +786,9 @@ mod tests {
         assert_eq!(trace.counter_value("runner.engine.replay"), Some(1));
         assert!(trace.counter_value("stream.passes_collapsed").unwrap() > 0);
         assert!(trace.counter_value("stream.memo_hits").unwrap() > 0);
+        // The large points' cold warmup passes on the stock LRU core are
+        // counted rather than driven.
+        assert!(trace.counter_value("stream.passes_counted").unwrap() > 0);
     }
 
     #[test]

@@ -141,6 +141,39 @@ pub(crate) struct Miss {
     tag: u64,
 }
 
+/// How a cache splits a line number (`addr >> line_shift`) into a set and
+/// a tag, and how many ways each set has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SetMap {
+    /// `log2(line_bytes)`.
+    pub(crate) line_shift: u32,
+    /// `num_sets - 1`.
+    pub(crate) set_mask: u64,
+    /// `log2(num_sets)`.
+    pub(crate) set_shift: u32,
+    /// Ways per set.
+    pub(crate) ways: usize,
+}
+
+impl SetMap {
+    /// Number of sets.
+    pub(crate) fn sets(&self) -> usize {
+        self.set_mask as usize + 1
+    }
+
+    /// The set of a line number.
+    #[inline(always)]
+    pub(crate) fn set(&self, line: u64) -> usize {
+        (line & self.set_mask) as usize
+    }
+
+    /// The tag of a line number.
+    #[inline(always)]
+    pub(crate) fn tag(&self, line: u64) -> u64 {
+        line >> self.set_shift
+    }
+}
+
 /// Access type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -172,13 +205,9 @@ pub(crate) const EMPTY: u64 = u64::MAX;
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `log2(line_bytes)` — address decomposition runs on every probe, so
-    /// the power-of-two geometry is folded to shifts and masks up front.
-    line_shift: u32,
-    /// `num_sets - 1`.
-    set_mask: u64,
-    /// `log2(num_sets)`.
-    set_shift: u32,
+    /// The address split — it runs on every probe, so the power-of-two
+    /// geometry is folded to shifts and masks up front.
+    map: SetMap,
     /// Line tags, `set * ways + slot` layout; [`EMPTY`] marks a free slot.
     tags: Vec<u64>,
     /// Tree-pLRU state: one bit-tree word per set, kept under TreePlru only.
@@ -211,9 +240,12 @@ impl Cache {
         let n = (cfg.num_sets() * u64::from(cfg.associativity)) as usize;
         Self {
             cfg,
-            line_shift: cfg.line_bytes.trailing_zeros(),
-            set_mask: cfg.num_sets() - 1,
-            set_shift: cfg.num_sets().trailing_zeros(),
+            map: SetMap {
+                line_shift: cfg.line_bytes.trailing_zeros(),
+                set_mask: cfg.num_sets() - 1,
+                set_shift: cfg.num_sets().trailing_zeros(),
+                ways: cfg.associativity as usize,
+            },
             tags: vec![EMPTY; n],
             plru: vec![0; cfg.num_sets() as usize],
             rng_state: 0x2545_F491_4F6C_DD1D,
@@ -238,10 +270,8 @@ impl Cache {
 
     #[inline(always)]
     fn set_range<const W: usize>(&self, addr: u64) -> (usize, u64) {
-        let line_addr = addr >> self.line_shift;
-        let set = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_shift;
-        (set * self.ways::<W>(), tag)
+        let line = addr >> self.map.line_shift;
+        (self.map.set(line) * self.ways::<W>(), self.map.tag(line))
     }
 
     /// Looks up `addr`; on hit refreshes LRU and returns `true`. Does not
@@ -384,6 +414,20 @@ impl Cache {
     /// condition for running it through a nonzero-`W` instantiation.
     pub(crate) fn is_lru_with_ways(&self, ways: usize) -> bool {
         self.cfg.policy == ReplacementPolicy::Lru && self.cfg.associativity as usize == ways
+    }
+
+    /// The address split of an LRU cache that holds no line, else `None` —
+    /// the stream engine's counted passes write such a cache's slot rows
+    /// directly (see [`Cache::rows_mut`]).
+    pub(crate) fn empty_lru_sets(&self) -> Option<SetMap> {
+        let empty = self.tags.iter().all(|&line| line == EMPTY);
+        (self.cfg.policy == ReplacementPolicy::Lru && empty).then_some(self.map)
+    }
+
+    /// The slot rows, `set * ways + slot`. Under LRU each set must stay a
+    /// prefix of distinct tags, most recent first, then [`EMPTY`] slots.
+    pub(crate) fn rows_mut(&mut self) -> &mut [u64] {
+        &mut self.tags
     }
 
     /// Exact state transition of [`Cache::access`] with no statistics at

@@ -442,6 +442,14 @@ impl Cpu {
         self.stream_memo.stats()
     }
 
+    /// Passes the stream engine settled by counting per set instead of
+    /// driving the slot rows: the cold first two passes of a line-distinct
+    /// stream on empty LRU caches. Like [`Cpu::stream_stats`] it describes
+    /// the engine, and a counted pass also counts as driven, not collapsed.
+    pub fn passes_counted(&self) -> u64 {
+        self.stream_memo.passes_counted()
+    }
+
     /// Clears statistics but keeps microarchitectural state (warm caches,
     /// trained predictor) — called between warmup and measurement.
     pub fn reset_stats(&mut self) {

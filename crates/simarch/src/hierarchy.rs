@@ -5,7 +5,7 @@
 //! without per-access statistics, which the stream replay engine tallies
 //! in bulk.
 
-use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats, Lookup};
+use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats, Lookup, SetMap};
 use serde::{Deserialize, Serialize};
 
 /// Where in the hierarchy a demand access was satisfied.
@@ -237,6 +237,21 @@ impl Hierarchy {
             && self.l1.is_lru_with_ways(ways[0])
             && self.l2.is_lru_with_ways(ways[1])
             && self.l3.is_lru_with_ways(ways[2])
+    }
+
+    /// The three levels' address splits when the stream engine may count
+    /// passes instead of driving them: every level LRU and empty, one
+    /// line size for all three, and the prefetcher off.
+    pub(crate) fn empty_lru_sets(&self) -> Option<[SetMap; 3]> {
+        let sets =
+            [self.l1.empty_lru_sets()?, self.l2.empty_lru_sets()?, self.l3.empty_lru_sets()?];
+        let one_line_size = sets.iter().all(|s| s.line_shift == sets[0].line_shift);
+        (!self.prefetch && one_line_size).then_some(sets)
+    }
+
+    /// The three levels' slot rows (see `Cache::rows_mut`).
+    pub(crate) fn rows_mut(&mut self) -> [&mut [u64]; 3] {
+        [self.l1.rows_mut(), self.l2.rows_mut(), self.l3.rows_mut()]
     }
 
     /// Appends all three levels' canonical state (see

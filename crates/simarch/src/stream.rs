@@ -2,7 +2,7 @@
 //!
 //! [`crate::cpu::Cpu::replay_passes`] spends almost all of its time
 //! re-driving the TLB and cache hierarchy with a recorded address stream,
-//! one pass per loop trip. This module replays that stream with three
+//! one pass per loop trip. This module replays that stream with four
 //! exact optimizations:
 //!
 //! * **Hoisted bookkeeping.** Each access runs the same per-set lookup and
@@ -31,6 +31,21 @@
 //!   table holds [`MEMO_CAPACITY`] streams so multi-segment kernels
 //!   (dstore's mixed load/store program) keep one entry per segment
 //!   instead of thrashing a single slot.
+//! * **Counted passes.** The chase kernels visit each line once per pass,
+//!   and every sweep point starts on a fresh core. When a call starts
+//!   with every cache level empty, all three levels are LRU with one line
+//!   size, the prefetcher is off and the stream's lines are pairwise
+//!   distinct, its first two passes are settled by per-set counting
+//!   instead of by driving the slot rows. An LRU set holds the `W` most
+//!   recent distinct lines to arrive at it, and a level's arrivals are its
+//!   lookups. Pass 0 misses everywhere. In pass 1 a line hits at a level
+//!   iff fewer than `W` set-mates arrived there since its own pass-0
+//!   arrival: the set-mates after it in the stream, plus those before it
+//!   that already arrived again in this pass. The slot rows are then
+//!   written from the stream order (see `Counted`). The TLB is still
+//!   driven, since pages repeat within a pass. A counted pass leaves the
+//!   same rows and returns the same tally as a driven one, so collapse,
+//!   the memo and the statistics flush treat it as driven.
 //!
 //! This is the only memory path of replay: it covers every cache geometry,
 //! replacement policy and the next-line prefetcher. The parity tests below
@@ -38,9 +53,12 @@
 //! behavior against per-address `Tlb::translate` + `Hierarchy::access` —
 //! the calls `Cpu::run` makes — for fitting, thrashing, and mixed streams
 //! under every policy × prefetch combination and the widest (64-way)
-//! pseudo-LRU tree.
+//! pseudo-LRU tree. Counted passes are pinned the same way, plus the
+//! canonical state, over 400 seeded LRU geometries and line-distinct
+//! streams, and each condition that keeps a stream on the drive loop is
+//! tested on its own.
 
-use crate::cache::AccessKind;
+use crate::cache::{AccessKind, SetMap};
 use crate::cpu::TimingConfig;
 use crate::hierarchy::{Hierarchy, MemLevel};
 use crate::tlb::Tlb;
@@ -168,6 +186,9 @@ pub(crate) struct StreamMemo {
     tick: u64,
     /// Hit/miss/collapse counters surfaced to the observer layer.
     stats: StreamStats,
+    /// Passes settled by counting rather than driving; they count as
+    /// driven everywhere else.
+    passes_counted: u64,
 }
 
 impl StreamMemo {
@@ -222,6 +243,11 @@ impl StreamMemo {
     /// Counter snapshot for the observer layer.
     pub(crate) fn stats(&self) -> StreamStats {
         self.stats
+    }
+
+    /// Passes settled by counting (see [`Counted`]).
+    pub(crate) fn passes_counted(&self) -> u64 {
+        self.passes_counted
     }
 }
 
@@ -301,6 +327,206 @@ fn drive_pass<const T: usize, const W1: usize, const W2: usize, const W3: usize>
     tally
 }
 
+/// Drives only the TLB through one pass — the counted passes' share of
+/// the units that is not counted, since pages repeat within a pass.
+fn translate_pass<const T: usize>(tlb: &mut Tlb, mem: &[MemRun], tally: &mut PassTally) {
+    for run in mem {
+        for &addr in &run.addrs {
+            if tlb.translate_fast::<T>(addr) {
+                tally.tlb_hits += 1;
+            } else {
+                tally.tlb_misses += 1;
+            }
+        }
+    }
+}
+
+/// One set's counts over the stream's lines.
+#[derive(Debug, Default, Clone, Copy)]
+struct SetCount {
+    /// Stream lines in the set.
+    pop: u32,
+    /// Of those, the lines that arrived at the level (were looked up in it)
+    /// during the last counted pass.
+    arrived: u32,
+    /// Set-mates already passed in the current pass, arrived or not.
+    seen: u32,
+}
+
+/// One LRU cache level as the counted passes see it.
+#[derive(Debug)]
+struct LevelCount {
+    map: SetMap,
+    sets: Vec<SetCount>,
+}
+
+impl LevelCount {
+    /// Writes this level's slot rows as they stand after the last counted
+    /// pass: per set, the lines that arrived in it newest first, then the
+    /// set's other lines newest first, cut to the ways. Every line arrived
+    /// in pass 0, so that is the set's recency order, and an LRU set holds
+    /// its `ways` most recent distinct arrivals. An access arrived here
+    /// when the level that served it (`served`) is this one (`level`) or
+    /// below it.
+    fn write_rows(&self, rows: &mut [u64], mem: &[MemRun], served: &[u8], level: u8) {
+        let ways = self.map.ways as u32;
+        // Per set, the next slot for an arrived line and for another line.
+        let mut next: Vec<[u32; 2]> = self.sets.iter().map(|c| [0, c.arrived.min(ways)]).collect();
+        let mut left: u64 = self.sets.iter().map(|c| u64::from(c.pop.min(ways))).sum();
+        let newest_first = mem.iter().rev().flat_map(|run| run.addrs.iter().rev());
+        for (&addr, &by) in newest_first.zip(served.iter().rev()) {
+            if left == 0 {
+                break;
+            }
+            let line = addr >> self.map.line_shift;
+            let s = self.map.set(line);
+            let c = self.sets[s];
+            let (slot, end) = if by >= level {
+                (&mut next[s][0], c.arrived.min(ways))
+            } else {
+                (&mut next[s][1], c.pop.min(ways))
+            };
+            if *slot < end {
+                rows[s * self.map.ways + *slot as usize] = self.map.tag(line);
+                *slot += 1;
+                left -= 1;
+            }
+        }
+    }
+}
+
+/// Counted passes: the first two passes of a call that starts with every
+/// cache level empty, settled per set instead of by driving the slot rows
+/// (see [`Counted::plan`] for when, and the module docs for why it is
+/// exact).
+#[derive(Debug)]
+struct Counted {
+    /// L1, L2 and L3.
+    levels: [LevelCount; 3],
+    /// The level index (L1 = 0 … memory = 3) that served each access in
+    /// the last counted pass; an access arrived at every level up to it.
+    served: Vec<u8>,
+}
+
+impl Counted {
+    /// Counted passes over `mem`, when the hierarchy allows them: every
+    /// level LRU and empty, one line size, no prefetcher (see
+    /// [`Hierarchy::empty_lru_sets`]), and the stream's lines pairwise
+    /// distinct within a pass. Distinctness is checked with a bitmap over
+    /// the line-number span, and a stream whose bitmap would hold more
+    /// words than the stream has accesses is not counted.
+    fn plan(hierarchy: &Hierarchy, mem: &[MemRun]) -> Option<Self> {
+        let maps = hierarchy.empty_lru_sets()?;
+        let accesses: usize = mem.iter().map(|run| run.addrs.len()).sum();
+        // Per-set counts are `u32`.
+        u32::try_from(accesses).ok()?;
+        let mut levels =
+            maps.map(|map| LevelCount { map, sets: vec![SetCount::default(); map.sets()] });
+        let lines =
+            || mem.iter().flat_map(|run| &run.addrs).map(|&addr| addr >> maps[0].line_shift);
+        let (mut lo, mut hi) = (u64::MAX, 0);
+        for line in lines() {
+            (lo, hi) = (lo.min(line), hi.max(line));
+            for level in &mut levels {
+                level.sets[level.map.set(line)].pop += 1;
+            }
+        }
+        let words = hi.checked_sub(lo)? / 64 + 1;
+        if words > accesses as u64 {
+            return None;
+        }
+        let mut bitmap = vec![0u64; words as usize];
+        for line in lines() {
+            let bit = line - lo;
+            let word = &mut bitmap[(bit / 64) as usize];
+            if *word & 1 << (bit % 64) != 0 {
+                return None;
+            }
+            *word |= 1 << (bit % 64);
+        }
+        for c in levels.iter_mut().flat_map(|level| &mut level.sets) {
+            // Pass 0 starts from an empty level, so every line arrives.
+            c.arrived = c.pop;
+        }
+        Some(Self { levels, served: vec![3; accesses] })
+    }
+
+    /// Settles pass 0 or pass 1 of the call, leaving the slot rows and
+    /// returning the tally a driven pass would.
+    fn pass(
+        &mut self,
+        pass: u64,
+        tlb: &mut Tlb,
+        hierarchy: &mut Hierarchy,
+        mem: &[MemRun],
+    ) -> PassTally {
+        let mut tally = PassTally::default();
+        if tlb.ways() == 4 {
+            translate_pass::<4>(tlb, mem, &mut tally);
+        } else {
+            translate_pass::<0>(tlb, mem, &mut tally);
+        }
+        if pass == 0 {
+            // Empty levels and distinct lines: everything misses to memory.
+            for run in mem {
+                let lv = if run.kind == AccessKind::Read {
+                    &mut tally.read_lv
+                } else {
+                    &mut tally.write_lv
+                };
+                lv[3] += run.addrs.len() as u64;
+            }
+        } else {
+            self.count_warm(mem, &mut tally);
+        }
+        // Pass 1 brings every line back to L1, so L1 keeps its pass-0 rows.
+        let first = if pass == 0 { 0 } else { 1 };
+        for (l, (level, rows)) in self.levels.iter().zip(hierarchy.rows_mut()).enumerate() {
+            if l >= first {
+                level.write_rows(rows, mem, &self.served, l as u8);
+            }
+        }
+        tally
+    }
+
+    /// Counts pass 1. Every line arrived at every level in pass 0, so at a
+    /// level with `W` ways a line `x` is still resident when the set-mates
+    /// that arrived there after it number `D < W`, where
+    /// `D = (pop − rank − 1) + arrived_before`: `rank` set-mates come
+    /// before `x` in the stream, so `pop − rank − 1` arrived after it in
+    /// pass 0, and `arrived_before` of the set-mates before it have
+    /// arrived again in this pass. Only a miss passes `x` on to the next
+    /// level.
+    fn count_warm(&mut self, mem: &[MemRun], tally: &mut PassTally) {
+        let Self { levels, served } = self;
+        for c in levels.iter_mut().flat_map(|level| &mut level.sets) {
+            (c.arrived, c.seen) = (0, 0);
+        }
+        let mut served = served.iter_mut();
+        for run in mem {
+            let lv =
+                if run.kind == AccessKind::Read { &mut tally.read_lv } else { &mut tally.write_lv };
+            for (&addr, by) in run.addrs.iter().zip(served.by_ref()) {
+                let line = addr >> levels[0].map.line_shift;
+                let mut level_by = 3;
+                for (l, level) in levels.iter_mut().enumerate() {
+                    let c = &mut level.sets[level.map.set(line)];
+                    if level_by == 3 {
+                        let d = c.pop - c.seen - 1 + c.arrived;
+                        c.arrived += 1;
+                        if (d as usize) < level.map.ways {
+                            level_by = l;
+                        }
+                    }
+                    c.seen += 1;
+                }
+                lv[level_by] += 1;
+                *by = level_by as u8;
+            }
+        }
+    }
+}
+
 /// Replays `trips` passes of a recorded memory stream against the TLB and
 /// hierarchy, returning the penalty cycles accrued. Statistics, penalties,
 /// prefetch fills, and all future unit behavior are bit-identical to
@@ -332,6 +558,10 @@ fn replay_mem_counted(
         return (0, 0);
     }
     let try_collapse = accesses_per_pass >= COLLAPSE_MIN_ACCESSES;
+    // Passes 0 and 1 are counted when the call starts on empty levels; a
+    // collapse before pass 1 returns, so pass 1 is counted only after a
+    // counted pass 0.
+    let mut counted = if try_collapse { Counted::plan(hierarchy, mem) } else { None };
     let mut canon_prev: Vec<u64> = Vec::new();
     let mut canon_cur: Vec<u64> = Vec::new();
     let mut have_prev = false;
@@ -376,7 +606,13 @@ fn replay_mem_counted(
             std::mem::swap(&mut canon_prev, &mut canon_cur);
             have_prev = true;
         }
-        last = drive(tlb, hierarchy, mem);
+        last = match counted.as_mut() {
+            Some(plan) if pass < 2 => {
+                memo.passes_counted += 1;
+                plan.pass(pass, tlb, hierarchy, mem)
+            }
+            _ => drive(tlb, hierarchy, mem),
+        };
         last.flush(tlb, hierarchy, 1);
         penalty += last.penalty(timing);
         driven += 1;
@@ -800,5 +1036,177 @@ mod tests {
         let mut memo = StreamMemo::default();
         assert_eq!(replay_mem(&mut tlb, &mut hier, &[], 5, &timing, &mut memo), 0);
         assert_eq!(hier.stats().l1.accesses(), 0);
+    }
+
+    /// Replays `mem` through the reference and through [`replay_mem`], each
+    /// on fresh units of geometry `(t, h)` after the same `warm` reads, and
+    /// asserts that penalties, statistics, canonical state and later probes
+    /// agree. Returns the passes the engine counted.
+    fn assert_matches_reference(
+        t: TlbConfig,
+        h: HierarchyConfig,
+        warm: &[u64],
+        mem: &[MemRun],
+        trips: u64,
+    ) -> u64 {
+        let timing = TimingConfig::default_sim();
+        let units = || {
+            let (mut tlb, mut hier) = (Tlb::new(t), Hierarchy::new(h));
+            for &addr in warm {
+                tlb.translate(addr);
+                hier.access(addr, AccessKind::Read);
+            }
+            (tlb, hier)
+        };
+        let ((mut tlb_a, mut hier_a), (mut tlb_b, mut hier_b)) = (units(), units());
+        let mut memo = StreamMemo::default();
+        let pen_a = reference_replay(&mut tlb_a, &mut hier_a, mem, trips, &timing);
+        let pen_b = replay_mem(&mut tlb_b, &mut hier_b, mem, trips, &timing, &mut memo);
+        let tag = format!("{t:?} {h:?}, {trips} trips");
+        assert_eq!(pen_a, pen_b, "{tag}: penalty cycles diverged");
+        assert_eq!(tlb_a.stats, tlb_b.stats, "{tag}: TLB stats diverged");
+        assert_eq!(hier_a.stats(), hier_b.stats(), "{tag}: hierarchy stats diverged");
+        let canon = |tlb: &Tlb, hier: &Hierarchy| {
+            let mut out = Vec::new();
+            tlb.canonical_into(&mut out);
+            hier.canonical_into(&mut out);
+            out
+        };
+        assert_eq!(canon(&tlb_a, &hier_a), canon(&tlb_b, &hier_b), "{tag}: canonical state");
+        // The stream's own addresses newest first, then unrelated pages.
+        let own = mem.iter().rev().flat_map(|run| run.addrs.iter().rev().copied());
+        for addr in own.chain((0..64u64).map(|i| i * 4096 + (i % 7) * 64)) {
+            let level = hier_a.access(addr, AccessKind::Read);
+            assert_eq!(level, hier_b.access(addr, AccessKind::Read), "{tag}: probe {addr:#x}");
+            assert_eq!(tlb_a.translate(addr), tlb_b.translate(addr), "{tag}: TLB probe {addr:#x}");
+        }
+        memo.passes_counted()
+    }
+
+    /// Seeded xorshift draws for the randomized tests.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self, bound: u64) -> u64 {
+            self.0 = scramble(self.0);
+            self.0 % bound
+        }
+    }
+
+    /// A line-distinct stream: a block of `dense` consecutive lines, which
+    /// spreads evenly over the sets, and `sparse` lines `stride` lines
+    /// apart, which pile onto few sets. The lines are shuffled, each access
+    /// lands at a random offset inside its line, and the stream is cut
+    /// into runs of random kind and length.
+    fn distinct_stream(draw: &mut Draw, line: u64, dense: u64, sparse: u64) -> Vec<MemRun> {
+        let base = 1 + draw.next(1 << 20);
+        let stride = 1 << draw.next(7);
+        let sparse_lines = (0..sparse).map(|i| base + dense + i * stride);
+        let mut lines: Vec<u64> = (base..base + dense).chain(sparse_lines).collect();
+        for i in (1..lines.len()).rev() {
+            lines.swap(i, draw.next(i as u64 + 1) as usize);
+        }
+        let addrs: Vec<u64> = lines.iter().map(|&l| l * line + draw.next(line)).collect();
+        let mut addrs = addrs.into_iter();
+        let mut runs = Vec::new();
+        let mut left = lines.len() as u64;
+        while left > 0 {
+            let longest = left.min(1 << draw.next(13));
+            let len = 1 + draw.next(longest);
+            let kind = if draw.next(2) == 0 { AccessKind::Read } else { AccessKind::Write };
+            runs.push(MemRun { kind, addrs: addrs.by_ref().take(len as usize).collect() });
+            left -= len;
+        }
+        runs
+    }
+
+    /// Stream lines per set of `cfg`.
+    fn set_populations(cfg: CacheConfig, mem: &[MemRun]) -> Vec<u64> {
+        let mut pop = vec![0; cfg.num_sets() as usize];
+        for &addr in mem.iter().flat_map(|run| &run.addrs) {
+            pop[(addr / cfg.line_bytes % cfg.num_sets()) as usize] += 1;
+        }
+        pop
+    }
+
+    #[test]
+    fn counted_passes_match_reference_on_random_geometries() {
+        // Per level: whether a counted case had a set that fits its ways
+        // and one that overflows them.
+        let mut fits = [false; 3];
+        let mut overflows = [false; 3];
+        let mut counted_cases = 0;
+        for seed in 1..=400u64 {
+            let mut draw = Draw(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let line = 16 << draw.next(3);
+            let mut level = || {
+                let (sets, ways) = (1 << draw.next(7), 1 + draw.next(16));
+                CacheConfig::new(sets * ways * line, line, ways as u32)
+            };
+            let (l1, l2, l3) = (level(), level(), level());
+            let h = HierarchyConfig { l1, l2, l3, prefetch_next_line: false };
+            let (sets, ways) = (1 << draw.next(5), 1 + draw.next(8) as u32);
+            let t = TlbConfig {
+                entries: sets * ways,
+                associativity: ways,
+                page_bytes: 256 << draw.next(5),
+            };
+            // A quarter of the streams stay below the collapse threshold;
+            // the rest reach it and run up to several times L3's lines.
+            let l3_lines = l3.num_sets() * u64::from(l3.associativity);
+            let (dense, sparse) = if draw.next(4) == 0 {
+                (1 + draw.next(COLLAPSE_MIN_ACCESSES - 1), 0)
+            } else {
+                let dense = draw.next(4 * l3_lines + 1);
+                (dense, COLLAPSE_MIN_ACCESSES.saturating_sub(dense) + draw.next(2048))
+            };
+            let mem = distinct_stream(&mut draw, line, dense, sparse);
+            let trips = 1 + draw.next(4);
+            let counted = assert_matches_reference(t, h, &[], &mem, trips);
+            let qualifies = dense + sparse >= COLLAPSE_MIN_ACCESSES;
+            assert_eq!(counted, if qualifies { trips.min(2) } else { 0 }, "seed {seed}");
+            if qualifies {
+                counted_cases += 1;
+                for (i, cfg) in [l1, l2, l3].into_iter().enumerate() {
+                    let ways = u64::from(cfg.associativity);
+                    let pop = set_populations(cfg, &mem);
+                    fits[i] |= pop.iter().any(|&p| p > 0 && p <= ways);
+                    overflows[i] |= pop.iter().any(|&p| p > ways);
+                }
+            }
+        }
+        assert!(counted_cases >= 250, "only {counted_cases} cases took the counted path");
+        assert_eq!((fits, overflows), ([true; 3], [true; 3]), "set populations on both sides of W");
+    }
+
+    #[test]
+    fn ineligible_streams_fall_back_to_the_drive_loop() {
+        let t = TlbConfig { entries: 16, associativity: 4, page_bytes: 4096 };
+        let h = hierarchy_with(ReplacementPolicy::Lru, false);
+        let chain = chase(4096, 9);
+        // The stream every case below departs from counts both passes.
+        assert_eq!(assert_matches_reference(t, h, &[], std::slice::from_ref(&chain), 3), 2);
+        let mut repeated = chain.clone();
+        repeated.addrs.push(repeated.addrs[0] + 8);
+        let plru = CacheConfig::with_policy(16 * 1024, 64, 8, ReplacementPolicy::TreePlru);
+        // 2048 lines 128 lines apart: a bitmap of 4095 words.
+        let wide =
+            MemRun { kind: AccessKind::Read, addrs: (0..2048u64).map(|i| i * 128 * 64).collect() };
+        let cases: [(&str, HierarchyConfig, &[u64], MemRun); 6] = [
+            ("a repeated line", h, &[], repeated),
+            ("prefetch on", HierarchyConfig { prefetch_next_line: true, ..h }, &[], chain.clone()),
+            ("a TreePlru L2", HierarchyConfig { l2: plru, ..h }, &[], chain.clone()),
+            ("a non-empty start", h, &[1 << 30], chain.clone()),
+            (
+                "unequal line sizes",
+                HierarchyConfig { l2: CacheConfig::new(16 * 1024, 128, 8), ..h },
+                &[],
+                chain,
+            ),
+            ("a span beyond the bitmap bound", h, &[], wide),
+        ];
+        for (name, h, warm, run) in cases {
+            assert_eq!(assert_matches_reference(t, h, warm, &[run], 3), 0, "{name}");
+        }
     }
 }

@@ -11,7 +11,7 @@ use catalyze_cat::{
     measure_gpu_flops, Domain, MeasurementSet, RunnerConfig, RunnerConfigBuilder, SimEngine,
     SimRequest,
 };
-use catalyze_obs::NoopObserver;
+use catalyze_obs::{NoopObserver, Observer, TraceCollector};
 use catalyze_sim::cache::{CacheConfig, ReplacementPolicy};
 use catalyze_sim::hierarchy::HierarchyConfig;
 use catalyze_sim::{mi250x_like, sapphire_rapids_like};
@@ -105,6 +105,46 @@ fn replay_engine_matches_direct_across_policies_and_prefetch() {
                     "{domain}: engines disagree under {policy:?} prefetch={prefetch}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn replay_engine_matches_direct_on_non_stock_lru_geometries() {
+    // All-LRU hierarchies other than the stock one: their cold warmup
+    // passes are counted rather than driven, on the runtime-ways path.
+    let cpu = sapphire_rapids_like();
+    let lru = |size: u64, ways: u32| CacheConfig::new(size, 64, ways);
+    let stock = HierarchyConfig::default_sim();
+    let hierarchies = [
+        (
+            "2-way L1, 4-way L2",
+            HierarchyConfig { l1: lru(16 * 1024, 2), l2: lru(128 * 1024, 4), ..stock },
+        ),
+        ("32-way L3 at half size", HierarchyConfig { l3: lru(512 * 1024, 32), ..stock }),
+    ];
+    for (name, hierarchy) in hierarchies {
+        let mut cfg = RunnerConfig::fast_test();
+        cfg.core.hierarchy = hierarchy;
+        for domain in [Domain::Dcache, Domain::Dstore, Domain::Dtlb] {
+            let trace = TraceCollector::new();
+            let run = |engine: SimEngine, obs: &dyn Observer| {
+                SimRequest::new()
+                    .domain(domain)
+                    .events(&cpu)
+                    .config(&cfg)
+                    .engine(engine)
+                    .observer(obs)
+                    .run()
+                    .expect("valid request")
+            };
+            assert_eq!(
+                bytes(&run(SimEngine::Direct, &NoopObserver)),
+                bytes(&run(SimEngine::Replay, &trace)),
+                "{domain}: engines disagree with a {name}"
+            );
+            let counted = trace.counter_value("stream.passes_counted");
+            assert!(counted.unwrap_or(0) > 0, "{domain}: no pass counted with a {name}");
         }
     }
 }

@@ -100,6 +100,8 @@ fn trace_funnel_reconciles_and_counters_cover_linalg() {
     assert!(get("stream.memo_hits").is_some());
     assert!(get("stream.memo_misses").is_some());
     assert!(get("stream.passes_collapsed").is_some());
+    // Branch kernels have no memory stream, so no pass is counted.
+    assert_eq!(get("stream.passes_counted").unwrap_or(0), 0);
 }
 
 #[test]
@@ -118,6 +120,7 @@ fn cache_domain_traces_show_stream_collapse_counters() {
     assert_eq!(get("runner.engine.replay"), Some(1));
     assert!(get("stream.passes_collapsed").unwrap() > 0, "steady passes must collapse");
     assert!(get("stream.memo_hits").unwrap() > 0, "measure phase must reuse warmup fixed points");
+    assert!(get("stream.passes_counted").unwrap() > 0, "cold warmup passes must be counted");
 }
 
 #[test]
