@@ -9,9 +9,10 @@
 //! buffers concurrently (the paper uses the per-thread *median* to suppress
 //! noise).
 
+use catalyze_sim::cache::AccessKind;
 use catalyze_sim::hierarchy::HierarchyConfig;
 use catalyze_sim::program::Block;
-use catalyze_sim::{Instruction, Program};
+use catalyze_sim::{Instruction, KernelTrace, Program};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -40,6 +41,9 @@ impl Region {
         }
     }
 }
+
+/// Predictor site of the chase loop's back-edge branch.
+const LOOP_SITE: u32 = 7;
 
 /// One pointer-chase configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -109,7 +113,14 @@ impl ChaseConfig {
         let addrs = self.chase_addresses(base, seed);
         let instructions = addrs.iter().map(|&addr| Instruction::Load { addr, size: 8 }).collect();
         let block = Block { instructions };
-        Program::new().counted_loop(block, passes, 7)
+        Program::new().counted_loop(block, passes, LOOP_SITE)
+    }
+
+    /// The trace [`KernelTrace::record`] makes of [`Self::program`], built
+    /// straight from the chase addresses.
+    pub fn trace(&self, base: u64, seed: u64, passes: u64) -> KernelTrace {
+        let addrs = self.chase_addresses(base, seed);
+        KernelTrace::counted_accesses(AccessKind::Read, addrs, passes, LOOP_SITE)
     }
 }
 
@@ -160,7 +171,6 @@ pub(crate) const THREADS: usize = 4;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use catalyze_sim::cache::AccessKind;
     use catalyze_sim::hierarchy::Hierarchy;
     use catalyze_sim::{CoreConfig, Cpu};
 
@@ -255,6 +265,18 @@ mod tests {
         let labels = point_labels(&h);
         assert!(labels[0].ends_with("/L1"), "{}", labels[0]);
         assert!(labels[7].ends_with("/M"), "{}", labels[7]);
+    }
+
+    #[test]
+    fn trace_equals_the_recorded_program_at_every_point() {
+        for (p, cfg) in sweep(&hier()).iter().enumerate() {
+            let (base, seed) = (1 << 40, p as u64);
+            assert_eq!(
+                cfg.trace(base, seed, MEASURE_PASSES),
+                KernelTrace::record(&cfg.program(base, seed, MEASURE_PASSES)),
+                "point {p}"
+            );
+        }
     }
 
     #[test]

@@ -8,14 +8,18 @@
 //! (`stores − RFOs`); and nothing counts L3-level store hits at all, so
 //! that metric is honestly non-composable (backward error 1).
 
+use catalyze_sim::cache::AccessKind;
 use catalyze_sim::hierarchy::HierarchyConfig;
 use catalyze_sim::program::Block;
-use catalyze_sim::{Instruction, Program};
+use catalyze_sim::{Instruction, KernelTrace, Program};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 pub use crate::dcache::Region;
+
+/// Predictor site of the store loop's back-edge branch.
+const LOOP_SITE: u32 = 13;
 
 /// One store-sweep configuration: `lines` cache lines written per pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,7 +72,14 @@ impl StoreConfig {
         let addrs = self.addresses(base, seed);
         let instructions = addrs.iter().map(|&addr| Instruction::Store { addr, size: 8 }).collect();
         let block = Block { instructions };
-        Program::new().counted_loop(block, passes, 13)
+        Program::new().counted_loop(block, passes, LOOP_SITE)
+    }
+
+    /// The trace [`KernelTrace::record`] makes of [`Self::program`], built
+    /// straight from the store addresses.
+    pub fn trace(&self, base: u64, seed: u64, passes: u64) -> KernelTrace {
+        let addrs = self.addresses(base, seed);
+        KernelTrace::counted_accesses(AccessKind::Write, addrs, passes, LOOP_SITE)
     }
 }
 
@@ -170,6 +181,18 @@ mod tests {
         let accesses = cfg.lines as f64;
         assert!(s.memory.l2.write_misses as f64 / accesses > 0.95);
         assert!(s.memory.l3.write_misses as f64 / accesses > 0.9);
+    }
+
+    #[test]
+    fn trace_equals_the_recorded_program_at_every_point() {
+        for (p, cfg) in sweep(&h()).iter().enumerate() {
+            let seed = 9000 + p as u64;
+            assert_eq!(
+                cfg.trace(0, seed, MEASURE_PASSES),
+                KernelTrace::record(&cfg.program(0, seed, MEASURE_PASSES)),
+                "point {p}"
+            );
+        }
     }
 
     #[test]

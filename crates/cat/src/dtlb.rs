@@ -18,12 +18,16 @@
 //! event counts TLB *hits* directly, but the pipeline composes them as
 //! `loads − page walks`.
 
+use catalyze_sim::cache::AccessKind;
 use catalyze_sim::program::Block;
 use catalyze_sim::tlb::TlbConfig;
-use catalyze_sim::{Instruction, Program};
+use catalyze_sim::{Instruction, KernelTrace, Program};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+
+/// Predictor site of the chase loop's back-edge branch.
+const LOOP_SITE: u32 = 11;
 
 /// One TLB-chase configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -89,7 +93,14 @@ impl TlbChaseConfig {
         let addrs = self.chase_addresses(base, seed);
         let instructions = addrs.iter().map(|&addr| Instruction::Load { addr, size: 8 }).collect();
         let block = Block { instructions };
-        Program::new().counted_loop(block, passes, 11)
+        Program::new().counted_loop(block, passes, LOOP_SITE)
+    }
+
+    /// The trace [`KernelTrace::record`] makes of [`Self::program`], built
+    /// straight from the chase addresses.
+    pub fn trace(&self, base: u64, seed: u64, passes: u64) -> KernelTrace {
+        let addrs = self.chase_addresses(base, seed);
+        KernelTrace::counted_accesses(AccessKind::Read, addrs, passes, LOOP_SITE)
     }
 }
 
@@ -207,6 +218,18 @@ mod tests {
         let accesses = (cfg.slots() * MEASURE_PASSES) as f64;
         let l3_plus_mem = (s.memory.loads_hit_l3 + s.memory.loads_miss_l3) as f64 / accesses;
         assert!(l3_plus_mem < 0.1, "1024 spread lines must fit L2, beyond-L2 rate {l3_plus_mem}");
+    }
+
+    #[test]
+    fn trace_equals_the_recorded_program_at_every_point() {
+        for (p, cfg) in sweep(&tlb()).iter().enumerate() {
+            let seed = 4242 + p as u64;
+            assert_eq!(
+                cfg.trace(0, seed, MEASURE_PASSES),
+                KernelTrace::record(&cfg.program(0, seed, MEASURE_PASSES)),
+                "point {p}"
+            );
+        }
     }
 
     #[test]

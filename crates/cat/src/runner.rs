@@ -18,8 +18,9 @@
 //! functions here, the per-domain runners it dispatches to.
 //! Each CPU domain runs on one of two engines ([`SimEngine`]): the default
 //! `Replay` engine runs every sweep point as one parallel task that builds
-//! the point's program, records it once as a [`KernelTrace`] and replays
-//! the trace (warmup and measurement phases alike), and it also
+//! the point's [`KernelTrace`] once (recorded from its program, or for the
+//! memory chases built straight from the chase addresses) and replays the
+//! trace (warmup and measurement phases alike), and it also
 //! parallelizes the per-repetition counter reads; the `Direct` engine
 //! executes every dynamic instruction sequentially and is kept as the
 //! reference path for parity tests and the `BENCH_sim` speedup gate. Both
@@ -207,9 +208,9 @@ fn read_all_cpu(
 /// `Replay` makes each point one task under a single `replay` span, handed
 /// out dynamically across the worker pool largest cost first (ties in
 /// point order), so the longest chases start at once instead of running
-/// alone at the end of the sweep. A task builds, records and replays its
-/// point and drops the trace when it ends, so at most one trace per worker
-/// is live. `Direct` executes every point sequentially in point order with
+/// alone at the end of the sweep. A task builds and replays its point's
+/// trace and drops it when it ends, so at most one trace per worker is
+/// live. `Direct` executes every point sequentially in point order with
 /// no child spans.
 fn simulate_points<F>(
     costs: &[u64],
@@ -272,21 +273,25 @@ where
 /// selected engine, one point per entry of `accesses`: the point's
 /// accesses per pass, the cost [`simulate_points`] schedules by.
 ///
-/// The warmup and measurement programs of a chase point differ only in the
-/// top-level pass count, so `Replay` records the measurement program once
-/// per point and drives both phases from the same trace via
-/// `Cpu::replay_passes`, all inside the point's task.
-fn simulate_chase_sweep<F>(
+/// `program_of(p, passes)` and `trace_of(p, passes)` are point `p`'s
+/// program and the trace [`KernelTrace::record`] makes of it, and
+/// `passes` holds the warmup and measurement pass counts. `Direct` runs
+/// the warmup and measurement programs; `Replay` builds the measurement
+/// trace once per point, straight from its addresses, and drives both
+/// phases from it via `Cpu::replay_passes` (the two phases differ only in
+/// the top-level pass count), all inside the point's task.
+fn simulate_chase_sweep<P, T>(
     core: CoreConfig,
     accesses: &[u64],
-    program_of: F,
-    warmup_passes: u64,
-    measure_passes: u64,
+    program_of: P,
+    trace_of: T,
+    (warmup_passes, measure_passes): (u64, u64),
     obs: &dyn Observer,
     engine: SimEngine,
 ) -> (Vec<ExecStats>, EngineCounts)
 where
-    F: Fn(usize, u64) -> Program + Sync,
+    P: Fn(usize, u64) -> Program + Sync,
+    T: Fn(usize, u64) -> KernelTrace + Sync,
 {
     simulate_points(accesses, obs, engine, |p| {
         let mut cpu = Cpu::new(core);
@@ -297,7 +302,7 @@ where
                 cpu.run(&program_of(p, measure_passes));
             }
             SimEngine::Replay => {
-                let trace = KernelTrace::record(&program_of(p, measure_passes));
+                let trace = trace_of(p, measure_passes);
                 cpu.replay_passes(&trace, warmup_passes);
                 cpu.reset_stats();
                 cpu.replay_passes(&trace, measure_passes);
@@ -478,17 +483,23 @@ fn dcache_sweep(
     engine: SimEngine,
 ) -> (Vec<Vec<ExecStats>>, EngineCounts) {
     let n = configs.len();
+    // Point `i`'s chase: its configuration, buffer base and seed.
+    let chase = |i: usize| {
+        let (thread, p) = (i / n, i % n);
+        (&configs[p], (thread as u64 + 1) << 40, (thread as u64) * 7919 + p as u64)
+    };
     let (stats, stream) = simulate_chase_sweep(
         cfg.core,
         &(0..cfg.dcache_threads * n).map(|i| configs[i % n].pointers).collect::<Vec<_>>(),
         |i, passes| {
-            let (thread, p) = (i / n, i % n);
-            let base = (thread as u64 + 1) << 40;
-            let seed = (thread as u64) * 7919 + p as u64;
-            configs[p].program(base, seed, passes)
+            let (c, base, seed) = chase(i);
+            c.program(base, seed, passes)
         },
-        dcache::WARMUP_PASSES,
-        dcache::MEASURE_PASSES,
+        |i, passes| {
+            let (c, base, seed) = chase(i);
+            c.trace(base, seed, passes)
+        },
+        (dcache::WARMUP_PASSES, dcache::MEASURE_PASSES),
         obs,
         engine,
     );
@@ -538,8 +549,8 @@ pub(crate) fn dtlb_with_engine(
             cfg.core,
             &configs.iter().map(|c| c.slots()).collect::<Vec<_>>(),
             |p, passes| configs[p].program(0, 4242 + p as u64, passes),
-            crate::dtlb::WARMUP_PASSES,
-            crate::dtlb::MEASURE_PASSES,
+            |p, passes| configs[p].trace(0, 4242 + p as u64, passes),
+            (crate::dtlb::WARMUP_PASSES, crate::dtlb::MEASURE_PASSES),
             obs,
             engine,
         )
@@ -582,8 +593,8 @@ pub(crate) fn dstore_with_engine(
             cfg.core,
             &configs.iter().map(|c| c.lines).collect::<Vec<_>>(),
             |p, passes| configs[p].program(0, 9000 + p as u64, passes),
-            crate::dstore::WARMUP_PASSES,
-            crate::dstore::MEASURE_PASSES,
+            |p, passes| configs[p].trace(0, 9000 + p as u64, passes),
+            (crate::dstore::WARMUP_PASSES, crate::dstore::MEASURE_PASSES),
             obs,
             engine,
         )

@@ -21,6 +21,13 @@ pub enum AnalysisError {
         /// The length the offending axis has.
         got: usize,
     },
+    /// A measured counter value is negative. Counts never are, so the
+    /// input is corrupt rather than noisy (`-0.0` is a valid zero;
+    /// non-finite values are reported as [`AnalysisError::Linalg`]).
+    NegativeCount {
+        /// The event whose measurements hold the negative value.
+        event: String,
+    },
     /// A linear-algebra kernel failed (non-finite measurements, a
     /// rank-deficient basis, …).
     Linalg(LinalgError),
@@ -33,6 +40,9 @@ impl fmt::Display for AnalysisError {
             AnalysisError::MissingBasis => write!(f, "no expectation basis was provided"),
             AnalysisError::Shape { context, expected, got } => {
                 write!(f, "{context}: expected {expected}, got {got}")
+            }
+            AnalysisError::NegativeCount { event } => {
+                write!(f, "event {event}: negative counter value")
             }
             AnalysisError::Linalg(e) => write!(f, "linear algebra: {e}"),
         }
@@ -64,6 +74,8 @@ mod tests {
         assert!(AnalysisError::MissingBasis.to_string().contains("basis"));
         let e = AnalysisError::Shape { context: "events per run", expected: 4, got: 3 };
         assert_eq!(e.to_string(), "events per run: expected 4, got 3");
+        let e = AnalysisError::NegativeCount { event: "BR_INST_RETIRED".into() };
+        assert_eq!(e.to_string(), "event BR_INST_RETIRED: negative counter value");
         let e = AnalysisError::from(LinalgError::NonFinite { context: "lstsq" });
         assert!(e.to_string().contains("non-finite"));
     }

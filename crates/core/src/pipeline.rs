@@ -202,6 +202,16 @@ impl Default for AnalysisRequest<'_> {
     }
 }
 
+/// Whether `vector` holds a finite negative value. `-0.0` is a zero count,
+/// and `-inf` is left to the kernels' non-finite check like every other
+/// non-finite value.
+fn has_negative(vector: &[f64]) -> bool {
+    // One vectorizable OR over the bit patterns finds whether any sign bit
+    // is set; counts have none, so the compare scan almost never runs.
+    let signs = vector.iter().fold(0, |acc, v| acc | v.to_bits());
+    signs >> 63 == 1 && vector.iter().any(|&v| v < 0.0 && v.is_finite())
+}
+
 impl<'a> AnalysisRequest<'a> {
     /// An empty request: no events, no runs, no basis, default
     /// configuration, noop observer.
@@ -278,13 +288,16 @@ impl<'a> AnalysisRequest<'a> {
                     got: run.len(),
                 });
             }
-            for vector in run {
+            for (event, vector) in self.events.iter().zip(run) {
                 if vector.len() != points {
                     return Err(AnalysisError::Shape {
                         context: "measurement points per event (basis rows)",
                         expected: points,
                         got: vector.len(),
                     });
+                }
+                if has_negative(vector) {
+                    return Err(AnalysisError::NegativeCount { event: event.clone() });
                 }
             }
         }
@@ -299,7 +312,8 @@ impl<'a> AnalysisRequest<'a> {
     ///
     /// [`AnalysisError::MissingBasis`] / [`AnalysisError::EmptyRuns`] /
     /// [`AnalysisError::Shape`] when the request is incomplete or its axes
-    /// disagree; [`AnalysisError::Linalg`] when a kernel fails on the data
+    /// disagree; [`AnalysisError::NegativeCount`] when a measured value is
+    /// negative; [`AnalysisError::Linalg`] when a kernel fails on the data
     /// (non-finite measurements, a rank-deficient basis).
     // lint: contract(deterministic)
     pub fn run(self) -> Result<AnalysisReport, AnalysisError> {

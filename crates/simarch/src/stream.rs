@@ -23,14 +23,17 @@
 //! * **Cross-call memoization.** In-call collapse still needs one driven
 //!   pass as its comparison point, so the warmup-then-measure call pair
 //!   every runner issues would drive a measured pass anyway. The
-//!   [`StreamMemo`] carries driven fixed-point candidates (stream copy,
+//!   [`StreamMemo`] carries driven fixed-point candidates (stream,
 //!   canonical pre-state, tally) across calls in a small table keyed by
-//!   stream identity: a call whose entry state matches the canonical
+//!   stream content: a call whose entry state matches the canonical
 //!   state a previous driven pass over the same stream started from
-//!   collapses all of its trips without touching the stream once. The
-//!   table holds [`MEMO_CAPACITY`] streams so multi-segment kernels
-//!   (dstore's mixed load/store program) keep one entry per segment
-//!   instead of thrashing a single slot.
+//!   collapses all of its trips without touching the stream once. An
+//!   entry shares the trace segment's stream (`Arc<[MemRun]>`) instead of
+//!   copying it, so the warmup call's store and the measure call's lookup
+//!   compare pointers before they would compare addresses. The table
+//!   holds [`MEMO_CAPACITY`] streams so multi-segment kernels (dstore's
+//!   mixed load/store program) keep one entry per segment instead of
+//!   thrashing a single slot.
 //! * **Counted passes.** The chase kernels visit each line once per pass,
 //!   and every sweep point starts on a fresh core. When a call starts
 //!   with every cache level empty, all three levels are LRU with one line
@@ -63,6 +66,7 @@ use crate::cpu::TimingConfig;
 use crate::hierarchy::{Hierarchy, MemLevel};
 use crate::tlb::Tlb;
 use crate::trace::MemRun;
+use std::sync::Arc;
 
 /// Minimum accesses per pass before canonicalization is attempted: below
 /// this, copying and comparing ~19k state slots per pass costs more than
@@ -124,10 +128,9 @@ impl StreamStats {
 /// state it started from, and its tally.
 #[derive(Debug, Clone)]
 struct MemoEntry {
-    /// Per-run kind and length of the memoized stream.
-    runs: Vec<(AccessKind, usize)>,
-    /// All run addresses, concatenated in stream order.
-    addrs: Vec<u64>,
+    /// The memoized stream: a strong reference to the trace segment's own
+    /// stream, shared rather than copied.
+    mem: Arc<[MemRun]>,
     /// Canonical TLB + hierarchy state before the memoized pass.
     canon: Vec<u64>,
     /// What that pass did.
@@ -137,23 +140,13 @@ struct MemoEntry {
 }
 
 impl MemoEntry {
-    fn matches_stream(&self, mem: &[MemRun]) -> bool {
-        if self.runs.len() != mem.len()
-            || !self
-                .runs
-                .iter()
-                .zip(mem)
-                .all(|(&(kind, len), run)| kind == run.kind && len == run.addrs.len())
-        {
-            return false;
-        }
-        let mut off = 0usize;
-        mem.iter().all(|run| {
-            let next = off + run.addrs.len();
-            let eq = self.addrs[off..next] == run.addrs[..];
-            off = next;
-            eq
-        })
+    /// Whether `mem` is the memoized stream: the same allocation, or an
+    /// equal stream in another one.
+    fn matches_stream(&self, mem: &Arc<[MemRun]>) -> bool {
+        // The entry's strong reference keeps its allocation alive, so no
+        // other stream can reuse the address: pointer equality implies
+        // content equality and only short-circuits the content compare.
+        Arc::ptr_eq(&self.mem, mem) || self.mem[..] == mem[..]
     }
 }
 
@@ -176,9 +169,13 @@ impl MemoEntry {
 /// between segments therefore keep one entry per segment alive.
 ///
 /// Soundness does not rest on hashing or identity heuristics: each entry
-/// stores a full copy of the stream and the full canonical state, and a
-/// hit requires both to compare equal. Any interleaved activity that
-/// perturbs unit state changes the canonical form and simply misses.
+/// holds a strong reference to the stream it drove and a full copy of the
+/// canonical state, and a hit requires both to compare equal. The stream
+/// compare is by content, with the shared allocation as a fast path: the
+/// trace segment that replays a stream is the one that stored it, so the
+/// pointers match and the compare costs nothing, while an equal stream
+/// recorded separately still hits. Any interleaved activity that perturbs
+/// unit state changes the canonical form and simply misses.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StreamMemo {
     entries: Vec<MemoEntry>,
@@ -192,8 +189,9 @@ pub(crate) struct StreamMemo {
 }
 
 impl StreamMemo {
-    /// Finds a memoized pass over `mem` that started from exactly `canon`.
-    fn lookup(&mut self, mem: &[MemRun], canon: &[u64]) -> Option<PassTally> {
+    /// Finds a memoized pass over `mem` that started from exactly `canon`,
+    /// marking its entry most recently used.
+    fn lookup(&mut self, mem: &Arc<[MemRun]>, canon: &[u64]) -> Option<PassTally> {
         for entry in &mut self.entries {
             if entry.canon == canon && entry.matches_stream(mem) {
                 self.tick += 1;
@@ -205,12 +203,12 @@ impl StreamMemo {
     }
 
     /// Memoizes a driven pass, replacing this stream's entry if present,
-    /// otherwise evicting the least-recently-used entry at capacity.
-    fn store(&mut self, mem: &[MemRun], canon: &[u64], tally: PassTally) {
+    /// otherwise evicting the least-recently-used entry at capacity. The
+    /// entry takes `canon`, the calling pass loop's own buffer, as is.
+    fn store(&mut self, mem: &Arc<[MemRun]>, canon: Vec<u64>, tally: PassTally) {
         self.tick += 1;
         if let Some(entry) = self.entries.iter_mut().find(|e| e.matches_stream(mem)) {
-            entry.canon.clear();
-            entry.canon.extend_from_slice(canon);
+            entry.canon = canon;
             entry.tally = tally;
             entry.last_used = self.tick;
             return;
@@ -225,19 +223,7 @@ impl StreamMemo {
                 .unwrap_or(0);
             self.entries.swap_remove(victim);
         }
-        let mut runs = Vec::with_capacity(mem.len());
-        let mut addrs = Vec::new();
-        for run in mem {
-            runs.push((run.kind, run.addrs.len()));
-            addrs.extend_from_slice(&run.addrs);
-        }
-        self.entries.push(MemoEntry {
-            runs,
-            addrs,
-            canon: canon.to_vec(),
-            tally,
-            last_used: self.tick,
-        });
+        self.entries.push(MemoEntry { mem: Arc::clone(mem), canon, tally, last_used: self.tick });
     }
 
     /// Counter snapshot for the observer layer.
@@ -535,7 +521,7 @@ impl Counted {
 pub(crate) fn replay_mem(
     tlb: &mut Tlb,
     hierarchy: &mut Hierarchy,
-    mem: &[MemRun],
+    mem: &Arc<[MemRun]>,
     trips: u64,
     timing: &TimingConfig,
     memo: &mut StreamMemo,
@@ -548,7 +534,7 @@ pub(crate) fn replay_mem(
 fn replay_mem_counted(
     tlb: &mut Tlb,
     hierarchy: &mut Hierarchy,
-    mem: &[MemRun],
+    mem: &Arc<[MemRun]>,
     trips: u64,
     timing: &TimingConfig,
     memo: &mut StreamMemo,
@@ -583,8 +569,14 @@ fn replay_mem_counted(
             // multi-segment kernel that re-enters a memoized steady state
             // after one transition pass still collapses the rest.
             let hit = if have_prev && canon_cur == canon_prev {
+                // Collapsing repeats the fixed point, so the canonical
+                // state is unchanged and `canon_cur` remains this stream's
+                // valid entry state.
+                memo.store(mem, std::mem::take(&mut canon_cur), last);
                 Some(last)
             } else if let Some(tally) = memo.lookup(mem, &canon_cur) {
+                // The entry already holds exactly `canon_cur` and `tally`,
+                // and `lookup` marked it most recently used.
                 memo.stats.memo_hits += 1;
                 Some(tally)
             } else {
@@ -597,10 +589,6 @@ fn replay_mem_counted(
                 tally.flush(tlb, hierarchy, remaining);
                 penalty += tally.penalty(timing) * remaining;
                 memo.stats.passes_collapsed += remaining;
-                // Collapsing repeats the fixed point, so the canonical
-                // state is unchanged and `canon_cur` remains this stream's
-                // valid entry state.
-                memo.store(mem, &canon_cur, tally);
                 return (penalty, driven);
             }
             std::mem::swap(&mut canon_prev, &mut canon_cur);
@@ -622,7 +610,7 @@ fn replay_mem_counted(
         // `canon_prev` is the state the final driven pass started from;
         // memoize it so a subsequent call over the same stream can collapse
         // immediately if that pass turns out to have been a fixed point.
-        memo.store(mem, &canon_prev, last);
+        memo.store(mem, canon_prev, last);
     }
     (penalty, driven)
 }
@@ -697,8 +685,14 @@ mod tests {
         let (mut tlb_a, mut hier_a) = units_on(h);
         let (mut tlb_b, mut hier_b) = units_on(h);
         let pen_a = reference_replay(&mut tlb_a, &mut hier_a, mem, trips, &timing);
-        let pen_b =
-            replay_mem(&mut tlb_b, &mut hier_b, mem, trips, &timing, &mut StreamMemo::default());
+        let pen_b = replay_mem(
+            &mut tlb_b,
+            &mut hier_b,
+            &mem.into(),
+            trips,
+            &timing,
+            &mut StreamMemo::default(),
+        );
         let tag = format!("{h:?}");
         assert_eq!(pen_a, pen_b, "{tag}: penalty cycles diverged");
         assert_eq!(tlb_a.stats, tlb_b.stats, "{tag}: TLB stats diverged");
@@ -833,7 +827,7 @@ mod tests {
     fn parity_across_warmup_reset_measure_sequences() {
         // The runner's shape: warmup passes, stats reset, measured passes.
         let timing = TimingConfig::default_sim();
-        let mem = [chase(2048, 7)];
+        let mem: Arc<[MemRun]> = Arc::new([chase(2048, 7)]);
         for (policy, prefetch) in every_config() {
             let (mut tlb_a, mut hier_a) = units_with(policy, prefetch);
             let (mut tlb_b, mut hier_b) = units_with(policy, prefetch);
@@ -859,7 +853,7 @@ mod tests {
     #[test]
     fn steady_passes_are_collapsed_not_driven() {
         let timing = TimingConfig::default_sim();
-        let mem = [chase(2048, 13)];
+        let mem: Arc<[MemRun]> = Arc::new([chase(2048, 13)]);
         for policy in [ReplacementPolicy::Lru, ReplacementPolicy::TreePlru] {
             let (mut tlb, mut hier) = units_with(policy, false);
             let mut memo = StreamMemo::default();
@@ -870,10 +864,10 @@ mod tests {
         // A *fitting* Random stream also collapses (no evictions, so the
         // xorshift state in the canonical form stays put); the thrashing
         // stream above would not, since every eviction advances the RNG.
-        let fitting = [MemRun {
+        let fitting: Arc<[MemRun]> = Arc::new([MemRun {
             kind: AccessKind::Read,
             addrs: (0..2048u64).map(|i| (i % 32) * 64).collect(),
-        }];
+        }]);
         let (mut tlb, mut hier) = units_with(ReplacementPolicy::Random, false);
         let mut memo = StreamMemo::default();
         let (_, driven) = replay_mem_counted(&mut tlb, &mut hier, &fitting, 64, &timing, &mut memo);
@@ -886,7 +880,7 @@ mod tests {
         // last driven pass; the measure call starts from the same state
         // with the same stream and must not drive the stream at all.
         let timing = TimingConfig::default_sim();
-        let mem = [chase(2048, 21)];
+        let mem: Arc<[MemRun]> = Arc::new([chase(2048, 21)]);
         let (mut tlb, mut hier) = units();
         let mut memo = StreamMemo::default();
         replay_mem_counted(&mut tlb, &mut hier, &mem, 4, &timing, &mut memo);
@@ -896,10 +890,56 @@ mod tests {
         assert_eq!(driven, 0, "measure call should collapse from the cross-call memo");
         assert!(memo.stats().memo_hits >= 1);
         // And the memo must not fire for a different stream.
-        let other = [chase(2048, 33)];
+        let other: Arc<[MemRun]> = Arc::new([chase(2048, 33)]);
         let (_, driven) = replay_mem_counted(&mut tlb, &mut hier, &other, 2, &timing, &mut memo);
         assert!(driven > 0, "a different stream must miss the memo");
         assert!(memo.stats().memo_misses >= 1);
+    }
+
+    /// Units and memo after the runner's warmup call over `mem`, with the
+    /// statistics reset for a measure call.
+    fn after_warmup(mem: &Arc<[MemRun]>) -> (Tlb, Hierarchy, StreamMemo) {
+        let (mut tlb, mut hier) = units();
+        let mut memo = StreamMemo::default();
+        replay_mem(&mut tlb, &mut hier, mem, 2, &TimingConfig::default_sim(), &mut memo);
+        tlb.reset_stats();
+        hier.reset_stats();
+        (tlb, hier, memo)
+    }
+
+    #[test]
+    fn memo_entry_shares_the_stream_allocation() {
+        let mem: Arc<[MemRun]> = Arc::new([chase(2048, 21)]);
+        let (.., memo) = after_warmup(&mem);
+        assert_eq!(memo.entries.len(), 1);
+        assert!(Arc::ptr_eq(&memo.entries[0].mem, &mem), "the entry must not copy the stream");
+    }
+
+    #[test]
+    fn an_equal_stream_in_another_allocation_hits_the_memo() {
+        let mem: Arc<[MemRun]> = Arc::new([chase(2048, 21)]);
+        let (mut tlb, mut hier, mut memo) = after_warmup(&mem);
+        let copy = Arc::<[MemRun]>::from(&mem[..]);
+        assert!(!Arc::ptr_eq(&copy, &mem));
+        let timing = TimingConfig::default_sim();
+        let (_, driven) = replay_mem_counted(&mut tlb, &mut hier, &copy, 8, &timing, &mut memo);
+        assert_eq!(driven, 0, "an equal stream must collapse off the memo");
+        assert_eq!(memo.stats().memo_hits, 1);
+    }
+
+    #[test]
+    fn a_stream_differing_in_one_address_misses_the_memo() {
+        let mem: Arc<[MemRun]> = Arc::new([chase(2048, 21)]);
+        let (mut tlb, mut hier, mut memo) = after_warmup(&mem);
+        let mut run = chase(2048, 21);
+        *run.addrs.last_mut().unwrap() = 1 << 30;
+        let other: Arc<[MemRun]> = Arc::new([run]);
+        assert_eq!(other[0].addrs.len(), mem[0].addrs.len());
+        let timing = TimingConfig::default_sim();
+        let (_, driven) = replay_mem_counted(&mut tlb, &mut hier, &other, 8, &timing, &mut memo);
+        assert!(driven > 0, "a different stream must be driven");
+        assert_eq!(memo.stats().memo_hits, 0);
+        assert_eq!(memo.stats().memo_misses, 2, "the warmup call's miss and this one");
     }
 
     #[test]
@@ -914,14 +954,14 @@ mod tests {
         // recency order from "other segment MRU" back to this segment's
         // memoized fixed point.
         let timing = TimingConfig::default_sim();
-        let seg_a = [MemRun {
+        let seg_a: Arc<[MemRun]> = Arc::new([MemRun {
             kind: AccessKind::Read,
             addrs: (0..2048u64).map(|i| (i % 32) * 64).collect(),
-        }];
-        let seg_b = [MemRun {
+        }]);
+        let seg_b: Arc<[MemRun]> = Arc::new([MemRun {
             kind: AccessKind::Write,
             addrs: (0..2048u64).map(|i| (1000 + i % 32) * 64).collect(),
-        }];
+        }]);
         let (mut tlb, mut hier) = units();
         let mut memo = StreamMemo::default();
         // Warmup cycle: fills both footprints and memoizes both segments.
@@ -948,7 +988,7 @@ mod tests {
         let (mut tlb, mut hier) = units();
         let mut memo = StreamMemo::default();
         for seed in 0..12u64 {
-            let mem = [chase(2048, 100 + seed * 2)];
+            let mem: Arc<[MemRun]> = Arc::new([chase(2048, 100 + seed * 2)]);
             replay_mem_counted(&mut tlb, &mut hier, &mem, 2, &timing, &mut memo);
         }
         assert!(memo.entries.len() <= MEMO_CAPACITY, "table grew past capacity");
@@ -1034,7 +1074,8 @@ mod tests {
         let timing = TimingConfig::default_sim();
         let (mut tlb, mut hier) = units();
         let mut memo = StreamMemo::default();
-        assert_eq!(replay_mem(&mut tlb, &mut hier, &[], 5, &timing, &mut memo), 0);
+        let empty = Arc::<[MemRun]>::from([]);
+        assert_eq!(replay_mem(&mut tlb, &mut hier, &empty, 5, &timing, &mut memo), 0);
         assert_eq!(hier.stats().l1.accesses(), 0);
     }
 
@@ -1061,7 +1102,7 @@ mod tests {
         let ((mut tlb_a, mut hier_a), (mut tlb_b, mut hier_b)) = (units(), units());
         let mut memo = StreamMemo::default();
         let pen_a = reference_replay(&mut tlb_a, &mut hier_a, mem, trips, &timing);
-        let pen_b = replay_mem(&mut tlb_b, &mut hier_b, mem, trips, &timing, &mut memo);
+        let pen_b = replay_mem(&mut tlb_b, &mut hier_b, &mem.into(), trips, &timing, &mut memo);
         let tag = format!("{t:?} {h:?}, {trips} trips");
         assert_eq!(pen_a, pen_b, "{tag}: penalty cycles diverged");
         assert_eq!(tlb_a.stats, tlb_b.stats, "{tag}: TLB stats diverged");

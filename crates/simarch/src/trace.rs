@@ -23,6 +23,12 @@
 //! spend their time, so the hot loops run over dense address arrays
 //! instead of re-walking program structure per instruction.
 //!
+//! A segment's stream is an immutable `Arc<[MemRun]>`: the stream memo
+//! of `crate::stream` holds a reference to it instead of a copy. The
+//! memory-chase kernels, one counted loop of same-kind accesses, skip the
+//! recording altogether: [`KernelTrace::counted_accesses`] builds their
+//! trace from the address vector, equal to what `record` would make.
+//!
 //! Memoization keying is the caller's job: a trace is valid for exactly
 //! the `(program structure, address stream)` it recorded, so runners key
 //! traces by the kernel parameters that generated the program (sweep
@@ -34,6 +40,7 @@ use crate::cache::AccessKind;
 use crate::cpu::fp_index;
 use crate::isa::{CondBranch, Instruction, IntKind};
 use crate::program::{Item, Program};
+use std::sync::Arc;
 
 /// Per-iteration retirement counts of one segment's body — everything
 /// about an iteration that does not depend on mutable hardware state.
@@ -42,7 +49,7 @@ use crate::program::{Item, Program};
 /// only meaningful when the owning segment's `needs_predictor` is false
 /// (otherwise every conditional branch is replayed through the live
 /// predictor and these fields are ignored).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct BodyCounts {
     /// FP retirements per `(precision, width, kind)` class (dense grid).
     pub(crate) fp: Vec<u64>,
@@ -76,8 +83,30 @@ pub(crate) struct BodyCounts {
     pub(crate) mispredicted_taken: u64,
 }
 
+impl BodyCounts {
+    /// All counts zero, with the dense FP grid allocated.
+    fn zero() -> Self {
+        Self { fp: vec![0; 3 * 4 * 6], ..Self::default() }
+    }
+
+    /// Counts `n` retired loads (`Read`) or stores (`Write`) and their
+    /// uops: one per load, two per store (store address + store data).
+    fn add_accesses(&mut self, kind: AccessKind, n: u64) {
+        match kind {
+            AccessKind::Read => {
+                self.loads += n;
+                self.uops += n;
+            }
+            AccessKind::Write => {
+                self.stores += n;
+                self.uops += 2 * n;
+            }
+        }
+    }
+}
+
 /// A maximal run of same-kind memory accesses, in stream order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MemRun {
     /// Load or store.
     pub(crate) kind: AccessKind,
@@ -87,7 +116,7 @@ pub(crate) struct MemRun {
 
 /// One top-level program item, flattened: a single recorded iteration
 /// plus the trip count to replay it at.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Segment {
     /// Trip count recorded from the program (1 for straight-line blocks).
     pub(crate) trips: u64,
@@ -102,7 +131,9 @@ pub(crate) struct Segment {
     /// separately at replay).
     pub(crate) counts: BodyCounts,
     /// Ordered per-iteration memory stream, coalesced by access kind.
-    pub(crate) mem: Vec<MemRun>,
+    /// Immutable once built and shared, not copied, with the stream memo
+    /// (`crate::stream::StreamMemo`).
+    pub(crate) mem: Arc<[MemRun]>,
     /// Ordered per-iteration conditional branches (body only). Replayed
     /// through the live predictor iff `needs_predictor`.
     pub(crate) cond: Vec<CondBranch>,
@@ -112,7 +143,7 @@ pub(crate) struct Segment {
 }
 
 /// A recorded kernel: the compact, replayable form of a [`Program`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelTrace {
     /// One segment per top-level program item, in order.
     pub(crate) segments: Vec<Segment>,
@@ -122,6 +153,35 @@ impl KernelTrace {
     /// Records `program` by walking each top-level item once.
     pub fn record(program: &Program) -> Self {
         Self { segments: program.items.iter().map(Segment::record).collect() }
+    }
+
+    /// The trace of a counted loop whose body accesses each of `addrs` once,
+    /// in order, with `kind` — equal to [`KernelTrace::record`] of
+    /// `Program::new().counted_loop(block, trips, site)` for a block of one
+    /// load (`Read`) or store (`Write`) per address.
+    ///
+    /// The chase kernels are exactly this shape, and their streams run to
+    /// hundreds of thousands of addresses per sweep point. Building the
+    /// trace here moves `addrs` into the segment's stream and fills the
+    /// counts analytically, where recording would first expand every
+    /// address into an instruction and then copy it back out.
+    pub fn counted_accesses(kind: AccessKind, addrs: Vec<u64>, trips: u64, site: u32) -> Self {
+        let mut counts = BodyCounts::zero();
+        let n = addrs.len() as u64;
+        counts.instructions = n;
+        counts.add_accesses(kind, n);
+        let mem = if addrs.is_empty() { Vec::new() } else { vec![MemRun { kind, addrs }] };
+        let seg = Segment {
+            trips,
+            looped: true,
+            overhead: true,
+            site,
+            counts,
+            mem: mem.into(),
+            cond: Vec::new(),
+            needs_predictor: false,
+        };
+        Self { segments: vec![seg] }
     }
 
     /// Dynamic instructions one replay retires (matches
@@ -147,21 +207,24 @@ impl Segment {
             looped,
             overhead,
             site,
-            counts: BodyCounts { fp: vec![0; 3 * 4 * 6], ..BodyCounts::default() },
-            mem: Vec::new(),
+            counts: BodyCounts::zero(),
+            mem: Arc::new([]),
             cond: Vec::new(),
             needs_predictor: false,
         };
+        let mut mem = Vec::new();
         // One iteration of the body: nested loops are fully unrolled here
         // (their per-iteration stream repeats identically across outer
         // iterations, including nested back-edge taken/fall-through flags).
         for sub in unit {
-            crate::program::visit_item(sub, &mut |i| seg.absorb(i));
+            crate::program::visit_item(sub, &mut |i| seg.absorb(i, &mut mem));
         }
+        seg.mem = mem.into();
         seg
     }
 
-    fn absorb(&mut self, i: Instruction) {
+    /// Counts `i` and appends its access, if any, to `mem`.
+    fn absorb(&mut self, i: Instruction, mem: &mut Vec<MemRun>) {
         let c = &mut self.counts;
         c.instructions += 1;
         match i {
@@ -180,14 +243,12 @@ impl Segment {
                 c.uops += 1;
             }
             Instruction::Load { addr, .. } => {
-                c.loads += 1;
-                c.uops += 1;
-                self.push_mem(AccessKind::Read, addr);
+                c.add_accesses(AccessKind::Read, 1);
+                push_mem(mem, AccessKind::Read, addr);
             }
             Instruction::Store { addr, .. } => {
-                c.stores += 1;
-                c.uops += 2; // store address + store data
-                self.push_mem(AccessKind::Write, addr);
+                c.add_accesses(AccessKind::Write, 1);
+                push_mem(mem, AccessKind::Write, addr);
             }
             Instruction::CondBranch(cb) => {
                 c.uops += 1;
@@ -229,16 +290,18 @@ impl Segment {
         }
     }
 
-    fn push_mem(&mut self, kind: AccessKind, addr: u64) {
-        match self.mem.last_mut() {
-            Some(run) if run.kind == kind => run.addrs.push(addr),
-            _ => self.mem.push(MemRun { kind, addrs: vec![addr] }),
-        }
-    }
-
     #[cfg(test)]
     fn body_instructions(&self) -> u64 {
         self.counts.instructions
+    }
+}
+
+/// Appends one access to `mem`, extending the last run when it has the
+/// same kind.
+fn push_mem(mem: &mut Vec<MemRun>, kind: AccessKind, addr: u64) {
+    match mem.last_mut() {
+        Some(run) if run.kind == kind => run.addrs.push(addr),
+        _ => mem.push(MemRun { kind, addrs: vec![addr] }),
     }
 }
 
@@ -288,6 +351,27 @@ mod tests {
         assert_eq!(s.mem[2].addrs, vec![192]);
         assert_eq!(s.counts.loads, 3);
         assert_eq!(s.counts.stores, 1);
+    }
+
+    #[test]
+    fn counted_accesses_equals_the_recorded_counted_loop() {
+        let addrs: Vec<u64> = (0..37u64).map(|i| i * 4160 + i % 3 * 8).collect();
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            for addrs in [addrs.clone(), Vec::new()] {
+                for trips in [0, 1, 8] {
+                    let access = |addr| match kind {
+                        AccessKind::Read => Instruction::Load { addr, size: 8 },
+                        AccessKind::Write => Instruction::Store { addr, size: 8 },
+                    };
+                    let block = Block::from(addrs.iter().map(|&a| access(a)).collect());
+                    let recorded =
+                        KernelTrace::record(&Program::new().counted_loop(block, trips, 5));
+                    let built = KernelTrace::counted_accesses(kind, addrs.clone(), trips, 5);
+                    let tag = format!("{kind:?}, {} addresses, {trips} trips", addrs.len());
+                    assert_eq!(built, recorded, "{tag}");
+                }
+            }
+        }
     }
 
     #[test]

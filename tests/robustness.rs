@@ -5,6 +5,7 @@
 use catalyze::basis::{branch_basis, Basis};
 use catalyze::pipeline::{AnalysisConfig, AnalysisReport, AnalysisRequest};
 use catalyze::signature::branch_signatures;
+use catalyze::{AnalysisError, LinalgError};
 use catalyze_cat::MeasurementSet;
 
 fn names(list: &[&str]) -> Vec<String> {
@@ -12,7 +13,11 @@ fn names(list: &[&str]) -> Vec<String> {
 }
 
 /// Runs the branch-domain pipeline over ad-hoc inputs via the builder.
-fn branch_analysis(events: &[String], runs: &[Vec<Vec<f64>>], basis: &Basis) -> AnalysisReport {
+fn try_branch_analysis(
+    events: &[String],
+    runs: &[Vec<Vec<f64>>],
+    basis: &Basis,
+) -> Result<AnalysisReport, AnalysisError> {
     let signatures = branch_signatures();
     AnalysisRequest::new()
         .domain("x")
@@ -22,7 +27,15 @@ fn branch_analysis(events: &[String], runs: &[Vec<Vec<f64>>], basis: &Basis) -> 
         .signatures(&signatures)
         .config(AnalysisConfig::branch())
         .run()
-        .unwrap()
+}
+
+fn branch_analysis(events: &[String], runs: &[Vec<Vec<f64>>], basis: &Basis) -> AnalysisReport {
+    try_branch_analysis(events, runs, basis).unwrap()
+}
+
+/// Basis column `c` of `b` as one event's measurement vector.
+fn column(b: &Basis, c: usize) -> Vec<f64> {
+    (0..b.matrix.rows()).map(|i| b.matrix[(i, c)]).collect()
 }
 
 #[test]
@@ -138,4 +151,72 @@ fn analysis_report_serializes() {
     let report = branch_analysis(&n, &runs, &b);
     let json = serde_json::to_string(&report).unwrap();
     assert!(json.contains("Conditional Branches Retired"));
+}
+
+#[test]
+fn negative_counts_are_rejected_by_event() {
+    let b = branch_basis();
+    let negated: Vec<f64> = column(&b, 1).iter().map(|v| -v).collect();
+    let n = names(&["RETIRED", "COND"]);
+    let runs = vec![vec![column(&b, 0), negated]; 2];
+    let err = try_branch_analysis(&n, &runs, &b).unwrap_err();
+    assert_eq!(err, AnalysisError::NegativeCount { event: "COND".into() });
+}
+
+#[test]
+fn negative_zero_is_a_valid_count() {
+    let b = branch_basis();
+    let n = names(&["COND", "ZERO"]);
+    let runs = vec![vec![column(&b, 1), vec![-0.0; 11]]; 2];
+    let report = try_branch_analysis(&n, &runs, &b).unwrap();
+    assert_eq!(report.noise.discarded_zero().len(), 1);
+    assert!(report.metric("Conditional Branches Retired").unwrap().error < 1e-10);
+}
+
+#[test]
+fn non_finite_counts_are_a_linalg_error() {
+    let b = branch_basis();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut cr = column(&b, 1);
+        cr[3] = bad;
+        let n = names(&["COND"]);
+        let runs = vec![vec![cr]; 2];
+        let err = try_branch_analysis(&n, &runs, &b).unwrap_err();
+        assert!(
+            matches!(err, AnalysisError::Linalg(LinalgError::NonFinite { .. })),
+            "{bad}: {err:?}"
+        );
+    }
+}
+
+#[test]
+fn far_more_events_than_points_selects_at_most_rank_many() {
+    // 40 clean events over 11 points: seeded nonnegative combinations of
+    // the basis columns, so every event is representable.
+    let b = branch_basis();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut draw = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 5) as f64
+    };
+    let events: Vec<Vec<f64>> = (0..40)
+        .map(|_| {
+            let weights: Vec<f64> = (0..b.dim()).map(|_| draw()).collect();
+            (0..b.matrix.rows())
+                .map(|i| (0..b.dim()).map(|c| weights[c] * b.matrix[(i, c)]).sum::<f64>())
+                .collect()
+        })
+        .collect();
+    let n: Vec<String> = (0..40).map(|e| format!("E{e}")).collect();
+    let runs = vec![events; 2];
+    let report = branch_analysis(&n, &runs, &b);
+    assert!(!report.selection.events.is_empty());
+    assert!(
+        report.selection.events.len() <= b.dim().min(b.matrix.rows()),
+        "selected {} events for rank {}",
+        report.selection.events.len(),
+        b.dim()
+    );
 }

@@ -8,6 +8,14 @@ use catalyze_bench::{Harness, Scale};
 use catalyze_obs::TraceCollector;
 use serde_json::Value;
 
+/// Serializes this file's tests. Every one runs an analysis, and the linalg
+/// kernel counters are process-wide, so a test asserting exact counts must
+/// not share the process with another analysis in flight.
+fn linalg_turn() -> std::sync::MutexGuard<'static, ()> {
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn traced_branch() -> (Value, String) {
     let h = Harness::new(Scale::Fast);
     let trace = TraceCollector::new();
@@ -18,6 +26,7 @@ fn traced_branch() -> (Value, String) {
 
 #[test]
 fn trace_json_has_versioned_nested_spans() {
+    let _turn = linalg_turn();
     let (trace, _) = traced_branch();
     assert_eq!(trace["version"].as_u64(), Some(1));
 
@@ -53,6 +62,7 @@ fn trace_json_has_versioned_nested_spans() {
 
 #[test]
 fn trace_funnel_reconciles_and_counters_cover_linalg() {
+    let _turn = linalg_turn();
     let (trace, _) = traced_branch();
 
     let funnel = trace["funnel"].as_array().unwrap();
@@ -106,6 +116,7 @@ fn trace_funnel_reconciles_and_counters_cover_linalg() {
 
 #[test]
 fn cache_domain_traces_show_stream_collapse_counters() {
+    let _turn = linalg_turn();
     // The dcache sweep drives long steady-state streams, so its trace must
     // show actual collapse work: passes skipped via canonical fixed points
     // and warmup->measure reuse through the keyed stream memo.
@@ -125,6 +136,7 @@ fn cache_domain_traces_show_stream_collapse_counters() {
 
 #[test]
 fn noop_observed_runs_are_byte_identical() {
+    let _turn = linalg_turn();
     let h = Harness::new(Scale::Fast);
     let ms = h.measure("branch", &catalyze_obs::NoopObserver).unwrap();
     let (basis, signatures, config) = h.domain_inputs("branch").unwrap();
