@@ -64,24 +64,11 @@ fn bench_measurement_runners(c: &mut Criterion) {
     let h = Harness::new(Scale::Fast);
     let mut g = c.benchmark_group("measure_domain");
     g.sample_size(10);
-    g.bench_function("branch", |b| {
-        b.iter(|| {
-            catalyze_cat::measure_branch(
-                black_box(&h.cpu_events),
-                &h.cfg,
-                &catalyze_obs::NoopObserver,
-            )
-        })
-    });
-    g.bench_function("gpu-flops", |b| {
-        b.iter(|| {
-            catalyze_cat::measure_gpu_flops(
-                black_box(&h.gpu_events),
-                &h.cfg,
-                &catalyze_obs::NoopObserver,
-            )
-        })
-    });
+    for name in ["branch", "gpu-flops"] {
+        g.bench_function(name, |b| {
+            b.iter(|| h.measure(black_box(name), &catalyze_obs::NoopObserver))
+        });
+    }
     g.finish();
 }
 

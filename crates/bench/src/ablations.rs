@@ -12,7 +12,7 @@
 use crate::harness::{DomainResult, Harness};
 use catalyze::noise::max_rnmse;
 use catalyze::pipeline::{AnalysisConfig, AnalysisRequest};
-use catalyze_cat::{measure_dcache_threads, median_across_threads};
+use catalyze_cat::{Domain, MeasurementSet, RunnerConfig, SimRequest};
 use catalyze_linalg::{qrcp, specialized_qrcp, SpQrcpParams};
 
 /// Outcome of the pivot-rule ablation on one domain.
@@ -140,26 +140,34 @@ pub struct MedianAblation {
 
 /// Measures how much the per-thread median suppresses cache-event noise.
 pub fn median_ablation(h: &Harness) -> MedianAblation {
-    let per_thread = measure_dcache_threads(&h.cpu_events, &h.cfg, &catalyze_obs::NoopObserver);
-    let median = median_across_threads(&per_thread);
+    let single = single_thread_dcache(h);
+    // lint: allow(panic): the harness's own configuration is valid
+    let median = h.measure("dcache", &catalyze_obs::NoopObserver).expect("valid dcache request");
     let events = [
         "MEM_LOAD_RETIRED:L1_HIT",
         "MEM_LOAD_RETIRED:L1_MISS",
         "L2_RQSTS:DEMAND_DATA_RD_HIT",
         "MEM_LOAD_RETIRED:L3_HIT",
     ];
-    let variability = |ms: &catalyze_cat::MeasurementSet, name: &str| -> f64 {
+    let variability = |ms: &MeasurementSet, name: &str| -> f64 {
         // lint: allow(panic): the key cache events are part of the shipped inventory
         let e = ms.event_index(name).expect("key cache event present");
         max_rnmse(&ms.vectors_for_event(e)).unwrap_or(1.0)
     };
     MedianAblation {
-        single_thread: events
-            .iter()
-            .map(|&n| (n.to_string(), variability(&per_thread[0], n)))
-            .collect(),
+        single_thread: events.iter().map(|&n| (n.to_string(), variability(&single, n))).collect(),
         with_median: events.iter().map(|&n| (n.to_string(), variability(&median, n))).collect(),
     }
+}
+
+/// Thread 0's data-cache readings: a one-thread request chases thread 0's
+/// buffer under its noise keys, and the median of one thread is that
+/// thread.
+fn single_thread_dcache(h: &Harness) -> MeasurementSet {
+    let cfg = RunnerConfig { dcache_threads: 1, ..h.cfg };
+    let request = SimRequest::new().domain(Domain::Dcache).events(&h.cpu_events).config(&cfg);
+    // lint: allow(panic): the harness's own configuration is valid
+    request.run().expect("valid dcache request")
 }
 
 /// Re-analyzes the cache domain *without* the per-thread median (first
@@ -173,8 +181,7 @@ pub fn median_ablation(h: &Harness) -> MedianAblation {
 pub fn dcache_without_median(
     h: &Harness,
 ) -> Result<catalyze::AnalysisReport, catalyze::AnalysisError> {
-    let per_thread = measure_dcache_threads(&h.cpu_events, &h.cfg, &catalyze_obs::NoopObserver);
-    let ms = &per_thread[0];
+    let ms = single_thread_dcache(h);
     let basis = catalyze::basis::dcache_basis(&h.cache_regions());
     let signatures = catalyze::signature::dcache_signatures();
     AnalysisRequest::new()

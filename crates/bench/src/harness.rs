@@ -5,10 +5,7 @@ use catalyze::basis::{self, Basis, CacheRegion};
 use catalyze::pipeline::{AnalysisConfig, AnalysisReport, AnalysisRequest};
 use catalyze::signature::{self, MetricSignature};
 use catalyze::AnalysisError;
-use catalyze_cat::{
-    dcache, dstore, dtlb, measure_branch, measure_cpu_flops, measure_dcache, measure_dstore,
-    measure_dtlb, measure_gpu_flops, MeasurementSet, RunnerConfig,
-};
+use catalyze_cat::{dcache, dstore, dtlb, Domain, MeasurementSet, RunnerConfig, SimRequest};
 use catalyze_obs::{render_metrics_json, MetricsRegistry, NoopObserver, Observer, TraceCollector};
 use catalyze_sim::{mi250x_like, sapphire_rapids_like, CpuEventSet, GpuEventSet};
 
@@ -138,18 +135,12 @@ impl Harness {
         }
     }
 
-    /// Runs one domain's benchmark under the observer. `None` for an
-    /// unknown name.
+    /// Runs one domain's benchmark under the observer. `None` for an unknown
+    /// name, or for a `cfg` that [`SimRequest::run`] rejects.
     pub fn measure(&self, name: &str, obs: &dyn Observer) -> Option<MeasurementSet> {
-        match name {
-            "cpu-flops" => Some(measure_cpu_flops(&self.cpu_events, &self.cfg, obs)),
-            "branch" => Some(measure_branch(&self.cpu_events, &self.cfg, obs)),
-            "dcache" => Some(measure_dcache(&self.cpu_events, &self.cfg, obs)),
-            "gpu-flops" => Some(measure_gpu_flops(&self.gpu_events, &self.cfg, obs)),
-            "dtlb" => Some(measure_dtlb(&self.cpu_events, &self.cfg, obs)),
-            "dstore" => Some(measure_dstore(&self.cpu_events, &self.cfg, obs)),
-            _ => None,
-        }
+        let request = SimRequest::new().domain(Domain::parse(name)?).config(&self.cfg);
+        let request = request.events(&self.cpu_events).gpu_events(&self.gpu_events);
+        request.observer(obs).run().ok()
     }
 
     /// Runs one domain by name — benchmark plus analysis — threading the

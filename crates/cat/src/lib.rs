@@ -11,11 +11,11 @@
 //!   across L1/L2/L3/memory (paper §III-E, Figure 3);
 //! * [`flops_gpu`] — GPU kernels for add/sub/mul/sqrt/FMA in half, single,
 //!   and double precision (paper §III-C);
-//! * the `measure_*` runners ([`measure_dcache`] and its siblings) — the
-//!   measurement orchestrator: warmup, counter-group multiplexing,
-//!   repetitions, per-thread medians, and normalization;
-//! * [`request`] — the unified [`SimRequest`] builder over all domains,
-//!   with typed configuration validation and engine selection;
+//! * [`request`] — [`SimRequest`], the one way to run a domain: a builder
+//!   with typed configuration validation and engine selection over the
+//!   measurement orchestrator (warmup, counter-group multiplexing,
+//!   repetitions, per-thread medians, and normalization), which runs
+//!   every domain's sweep through one path;
 //! * [`data`] — the serializable measurement format handed to the analysis;
 //! * [`validate`] — end-to-end validation of defined metrics against the
 //!   simulator's architectural ground truth on an independent workload.
@@ -45,10 +45,7 @@ pub mod validate;
 
 pub use data::MeasurementSet;
 pub use request::{ConfigError, Domain, RunError, RunnerConfigBuilder, SimEngine, SimRequest};
-pub use runner::{
-    measure_branch, measure_cpu_flops, measure_dcache, measure_dcache_threads, measure_dstore,
-    measure_dtlb, measure_gpu_flops, median_across_threads, RunnerConfig,
-};
+pub use runner::RunnerConfig;
 pub use validate::{
     validate_gpu_presets, validate_presets, validation_workload, ValidationOutcome,
 };

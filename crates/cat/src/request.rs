@@ -275,11 +275,11 @@ impl RunnerConfigBuilder {
 #[derive(Clone, Copy)]
 pub struct SimRequest<'a> {
     domain: Option<Domain>,
-    cpu_events: Option<&'a CpuEventSet>,
-    gpu_events: Option<&'a GpuEventSet>,
-    config: RunnerConfig,
-    engine: SimEngine,
-    observer: &'a dyn Observer,
+    pub(crate) cpu_events: Option<&'a CpuEventSet>,
+    pub(crate) gpu_events: Option<&'a GpuEventSet>,
+    pub(crate) config: RunnerConfig,
+    pub(crate) engine: SimEngine,
+    pub(crate) observer: &'a dyn Observer,
 }
 
 impl Default for SimRequest<'_> {
@@ -355,35 +355,7 @@ impl<'a> SimRequest<'a> {
     // lint: contract(deterministic)
     pub fn run(self) -> Result<MeasurementSet, RunError> {
         let domain = self.validate()?;
-        let cfg = &self.config;
-        let obs = self.observer;
-        let engine = self.engine;
-        Ok(match domain {
-            Domain::CpuFlops => {
-                let set = self.cpu_events.ok_or(RunError::MissingCpuEvents(domain))?;
-                runner::cpu_flops_with_engine(set, cfg, obs, engine)
-            }
-            Domain::Branch => {
-                let set = self.cpu_events.ok_or(RunError::MissingCpuEvents(domain))?;
-                runner::branch_with_engine(set, cfg, obs, engine)
-            }
-            Domain::Dcache => {
-                let set = self.cpu_events.ok_or(RunError::MissingCpuEvents(domain))?;
-                runner::dcache_with_engine(set, cfg, obs, engine)
-            }
-            Domain::Dtlb => {
-                let set = self.cpu_events.ok_or(RunError::MissingCpuEvents(domain))?;
-                runner::dtlb_with_engine(set, cfg, obs, engine)
-            }
-            Domain::Dstore => {
-                let set = self.cpu_events.ok_or(RunError::MissingCpuEvents(domain))?;
-                runner::dstore_with_engine(set, cfg, obs, engine)
-            }
-            Domain::GpuFlops => {
-                let set = self.gpu_events.ok_or(RunError::MissingGpuEvents(domain))?;
-                runner::measure_gpu_flops(set, cfg, obs)
-            }
-        })
+        Ok(runner::measure(domain, &self))
     }
 }
 

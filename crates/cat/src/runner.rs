@@ -14,9 +14,14 @@
 //!   (GPU), or per access (cache), so they are directly comparable to the
 //!   expectation bases.
 //!
-//! The entry points are [`crate::SimRequest`] and the `measure_*`
-//! functions here, the per-domain runners it dispatches to.
-//! Each CPU domain runs on one of two engines ([`SimEngine`]): the default
+//! Every domain runs through one path, [`measure`], the body of
+//! [`crate::SimRequest::run`]. A domain is one sweep descriptor
+//! ([`Sweep`]): its labels, per-point normalizers, thread fan-out and how
+//! each point is simulated. The [`Platform`] it runs on, the CPU [`Core`]
+//! or the GPU [`Node`], simulates the points and reads every event back
+//! through the PMU.
+//!
+//! CPU points run on one of two engines ([`SimEngine`]): the default
 //! `Replay` engine runs every sweep point as one parallel task that builds
 //! the point's [`KernelTrace`] once (recorded from its program, or for the
 //! memory chases built straight from the chase addresses) and replays the
@@ -29,13 +34,15 @@
 //! identity.
 
 use crate::data::MeasurementSet;
-use crate::request::SimEngine;
-use crate::{branch, dcache, flops_cpu, flops_gpu};
+use crate::request::{Domain, SimEngine, SimRequest};
+use crate::{branch, dcache, dstore, dtlb, flops_cpu, flops_gpu};
 use catalyze_events::EventId;
+use catalyze_linalg::vector::median_in_place;
 use catalyze_obs::{Observer, Span};
+use catalyze_sim::gpu::GpuEventDef;
 use catalyze_sim::{
-    CoreConfig, Cpu, CpuEventSet, CpuPmu, ExecStats, GpuConfig, GpuDevice, GpuEventSet, GpuStats,
-    KernelTrace, PmuConfig, Program, StreamStats,
+    CoreConfig, Cpu, CpuEventDef, CpuEventSet, CpuPmu, ExecStats, GpuConfig, GpuDevice,
+    GpuEventSet, GpuStats, KernelTrace, PmuConfig, Program, StreamStats,
 };
 use rayon::prelude::*;
 
@@ -91,6 +98,9 @@ impl RunnerConfig {
         }
     }
 }
+
+/// One read of a sweep, `runs[repetition][event][point]`.
+type Runs = Vec<Vec<Vec<f64>>>;
 
 /// Mixes repetition and point indices into one PMU run key, so every
 /// (event, repetition, point, group) observation draws independent noise.
@@ -159,7 +169,7 @@ fn read_runs<O>(
     repetitions: usize,
     key_offset: usize,
     observe: O,
-) -> Vec<Vec<Vec<f64>>>
+) -> Runs
 where
     O: Fn(usize, f64, usize) -> f64 + Sync,
 {
@@ -178,493 +188,462 @@ where
     (0..repetitions).map(|_| rows.by_ref().take(truths.len()).collect()).collect()
 }
 
-/// Reads all CPU events at every point of a sweep (see [`read_runs`]).
+/// One domain's sweep descriptor: what [`measure`] simulates at each
+/// point, and how the readings are labelled and normalized.
 ///
-/// The greedy counter scheduling is deterministic in `(set, events)`, so
-/// it is computed once for the whole sweep.
-fn read_all_cpu(
-    set: &CpuEventSet,
-    pmu: &CpuPmu,
-    stats: &[ExecStats],
-    norms: &[f64],
-    repetitions: usize,
-    key_offset: usize,
-) -> Vec<Vec<Vec<f64>>> {
-    let defs: Vec<_> = set.iter().collect();
-    let events: Vec<EventId> = defs.iter().map(|&(id, _)| id).collect();
-    let groups = pmu.schedule(set, &events);
-    let truths: Vec<Vec<f64>> =
-        defs.iter().map(|(_, def)| stats.iter().map(|s| def.true_count(s)).collect()).collect();
-    read_runs(&truths, norms, repetitions, key_offset, |e, truth, run| {
-        let (id, def) = defs[e];
-        pmu.observe_cpu(def, id, truth, groups[e], run)
-    })
+/// Each domain's descriptor function builds `simulate` in its own body
+/// and `measure` calls that function directly: the `xtask` call graph
+/// follows only calls written out in a function body, and this is how
+/// its reachable-panic and determinism rules reach the kernel and chase
+/// builders from `SimRequest::run`.
+struct Sweep<F> {
+    /// The domain label: the measurement set's `domain` and the root span
+    /// `run/<label>`.
+    label: &'static str,
+    /// One label per sweep point.
+    point_labels: Vec<String>,
+    /// Per-point normalizer: loop iterations, wavefronts, or accesses.
+    /// The chases' normalizers grow with their simulation cost, so the
+    /// `Replay` engine schedules points by them.
+    norms: Vec<f64>,
+    /// The data-cache fan-out: `Some(t)` chases the sweep on `t` threads,
+    /// reads each thread under its own noise key offset and reports the
+    /// per-thread median; `None` runs the sweep once.
+    threads: Option<usize>,
+    /// Simulates point `i` of the flattened sweep, which for `n` sweep
+    /// points is thread `i / n`'s sweep point `i % n`.
+    simulate: F,
 }
 
-/// Runs `simulate_point` for every point of a sweep on the selected engine,
-/// one point per entry of `costs`, returning per-point stats in point order
-/// and the stream counters summed in point order.
-///
-/// `Replay` makes each point one task under a single `replay` span, handed
-/// out dynamically across the worker pool largest cost first (ties in
-/// point order), so the longest chases start at once instead of running
-/// alone at the end of the sweep. A task builds and replays its point's
-/// trace and drops it when it ends, so at most one trace per worker is
-/// live. `Direct` executes every point sequentially in point order with
-/// no child spans.
-fn simulate_points<F>(
-    costs: &[u64],
-    obs: &dyn Observer,
-    engine: SimEngine,
-    simulate_point: F,
-) -> (Vec<ExecStats>, EngineCounts)
-where
-    F: Fn(usize) -> Cpu + Sync,
-{
-    let mut points: Vec<usize> = (0..costs.len()).collect();
-    let run = |&p: &usize| {
-        let cpu = simulate_point(p);
-        (p, cpu.stats(), EngineCounts::of(&cpu))
-    };
-    let mut cpus: Vec<(usize, ExecStats, EngineCounts)> = match engine {
-        SimEngine::Direct => points.iter().map(run).collect(),
-        SimEngine::Replay => {
-            let _s = Span::enter(obs, "replay");
-            points.sort_by_key(|&p| std::cmp::Reverse(costs[p]));
-            points.par_iter().map(run).collect()
-        }
-    };
-    cpus.sort_by_key(|&(p, ..)| p);
-    let mut counts = EngineCounts::default();
-    let stats = cpus
-        .into_iter()
-        .map(|(_, s, per_cpu)| {
-            counts.merge(per_cpu);
-            s
-        })
-        .collect();
-    (stats, counts)
+/// The simulated platform a sweep runs on: the CPU [`Core`] or the GPU
+/// [`Node`].
+trait Platform: Sync {
+    /// What the sweep's `simulate` returns for one point.
+    type Point: Send;
+    /// What reading one point needs.
+    type Stats: Send + Sync;
+    /// One event to read: its id, its definition, and its counter slot.
+    type Event: Sync;
+
+    /// Simulates every point of the flattened sweep; stats in point order.
+    fn simulate<F>(&self, sweep: &Sweep<F>, obs: &dyn Observer) -> Vec<Self::Stats>
+    where
+        F: Fn(usize) -> Self::Point + Sync;
+
+    /// The events read, in read order.
+    fn events(&self) -> &[Self::Event];
+
+    /// An event's name.
+    fn name(&self, event: &Self::Event) -> String;
+
+    /// An event's true count at a point.
+    fn truth(&self, event: &Self::Event, stats: &Self::Stats) -> f64;
+
+    /// The PMU's read-back of an event with true count `truth` under run
+    /// key `run`.
+    fn observe(&self, event: &Self::Event, truth: f64, run: usize) -> f64;
 }
 
-/// Simulates one program per sweep point on a fresh core: `Direct` runs
-/// it, `Replay` records and replays it (see [`simulate_points`]).
-fn simulate_sweep<F>(
-    core: CoreConfig,
-    n_points: usize,
-    program_of: F,
-    obs: &dyn Observer,
+/// The CPU platform: a fresh core per point on the request's engine, and
+/// every event of the CPU inventory read in its counter group.
+struct Core<'a> {
     engine: SimEngine,
-) -> (Vec<ExecStats>, EngineCounts)
-where
-    F: Fn(usize) -> Program + Sync,
-{
-    simulate_points(&vec![0; n_points], obs, engine, |p| {
-        let mut cpu = Cpu::new(core);
-        let program = program_of(p);
-        match engine {
-            SimEngine::Direct => cpu.run(&program),
-            SimEngine::Replay => cpu.replay(&KernelTrace::record(&program)),
-        }
-        cpu
-    })
+    pmu: CpuPmu,
+    /// The greedy counter scheduling is deterministic in the event set, so
+    /// each event's group is computed once per sweep.
+    events: Vec<(EventId, &'a CpuEventDef, usize)>,
 }
 
-/// Simulates a warmup-then-measure sweep (the memory-chase domains) on the
-/// selected engine, one point per entry of `accesses`: the point's
-/// accesses per pass, the cost [`simulate_points`] schedules by.
-///
-/// `program_of(p, passes)` and `trace_of(p, passes)` are point `p`'s
-/// program and the trace [`KernelTrace::record`] makes of it, and
-/// `passes` holds the warmup and measurement pass counts. `Direct` runs
-/// the warmup and measurement programs; `Replay` builds the measurement
-/// trace once per point, straight from its addresses, and drives both
-/// phases from it via `Cpu::replay_passes` (the two phases differ only in
-/// the top-level pass count), all inside the point's task.
-fn simulate_chase_sweep<P, T>(
-    core: CoreConfig,
-    accesses: &[u64],
-    program_of: P,
-    trace_of: T,
-    (warmup_passes, measure_passes): (u64, u64),
-    obs: &dyn Observer,
-    engine: SimEngine,
-) -> (Vec<ExecStats>, EngineCounts)
-where
-    P: Fn(usize, u64) -> Program + Sync,
-    T: Fn(usize, u64) -> KernelTrace + Sync,
-{
-    simulate_points(accesses, obs, engine, |p| {
-        let mut cpu = Cpu::new(core);
-        match engine {
-            SimEngine::Direct => {
-                cpu.run(&program_of(p, warmup_passes));
-                cpu.reset_stats();
-                cpu.run(&program_of(p, measure_passes));
-            }
+impl<'a> Core<'a> {
+    /// Reads every event of `set`, which `SimRequest::validate` has checked
+    /// is attached to a CPU request.
+    fn new(set: Option<&'a CpuEventSet>, pmu: CpuPmu, engine: SimEngine) -> Self {
+        let defs: Vec<_> = set.into_iter().flat_map(CpuEventSet::iter).collect();
+        let ids: Vec<EventId> = defs.iter().map(|&(id, _)| id).collect();
+        let groups = set.map_or_else(Vec::new, |set| pmu.schedule(set, &ids));
+        let events = defs.into_iter().zip(groups).map(|((id, def), g)| (id, def, g)).collect();
+        Self { engine, pmu, events }
+    }
+}
+
+impl<'a> Platform for Core<'a> {
+    type Point = Cpu;
+    type Stats = ExecStats;
+    type Event = (EventId, &'a CpuEventDef, usize);
+
+    /// `Replay` makes each point one task under a single `replay` span,
+    /// handed out dynamically across the worker pool largest normalizer
+    /// first (ties in point order), so the longest chases start at once
+    /// instead of running alone at the end of the sweep. A task simulates
+    /// its point and keeps only the core's stats, so at most one core and
+    /// trace per worker is live. `Direct` executes every point sequentially
+    /// in point order with no child spans. Either way the stream counters
+    /// are summed in point order and published with the engine's label.
+    fn simulate<F>(&self, sweep: &Sweep<F>, obs: &dyn Observer) -> Vec<ExecStats>
+    where
+        F: Fn(usize) -> Cpu + Sync,
+    {
+        let n = sweep.norms.len();
+        let mut points: Vec<usize> = (0..n * sweep.threads.unwrap_or(1)).collect();
+        let run = |&i: &usize| {
+            let cpu = (sweep.simulate)(i);
+            (i, cpu.stats(), EngineCounts::of(&cpu))
+        };
+        let mut cpus: Vec<(usize, ExecStats, EngineCounts)> = match self.engine {
+            SimEngine::Direct => points.iter().map(run).collect(),
             SimEngine::Replay => {
-                let trace = trace_of(p, measure_passes);
-                cpu.replay_passes(&trace, warmup_passes);
-                cpu.reset_stats();
-                cpu.replay_passes(&trace, measure_passes);
+                let _s = Span::enter(obs, "replay");
+                points.sort_by(|&a, &b| sweep.norms[b % n].total_cmp(&sweep.norms[a % n]));
+                points.par_iter().map(run).collect()
             }
-        }
-        cpu
-    })
-}
+        };
+        cpus.sort_by_key(|&(i, ..)| i);
+        let mut counts = EngineCounts::default();
+        let stats = cpus
+            .into_iter()
+            .map(|(_, s, per_cpu)| {
+                counts.merge(per_cpu);
+                s
+            })
+            .collect();
+        record_engine_counters(obs, self.engine, counts);
+        stats
+    }
 
-/// Measures the CPU-FLOPs domain: spans around the simulation (with a
-/// `replay` child on the default engine) and counter-read phases,
-/// sweep-shape counters on `obs`.
-// lint: contract(deterministic)
-pub fn measure_cpu_flops(
-    set: &CpuEventSet,
-    cfg: &RunnerConfig,
-    obs: &dyn Observer,
-) -> MeasurementSet {
-    cpu_flops_with_engine(set, cfg, obs, SimEngine::default())
-}
+    fn events(&self) -> &[Self::Event] {
+        &self.events
+    }
 
-pub(crate) fn cpu_flops_with_engine(
-    set: &CpuEventSet,
-    cfg: &RunnerConfig,
-    obs: &dyn Observer,
-    engine: SimEngine,
-) -> MeasurementSet {
-    let _root = Span::enter(obs, "run/cpu-flops");
-    let kernels = flops_cpu::kernel_space();
-    let points: Vec<(usize, usize)> =
-        (0..kernels.len()).flat_map(|k| (0..3).map(move |l| (k, l))).collect();
-    let (stats, stream) = {
-        let _s = Span::enter(obs, "simulate");
-        simulate_sweep(
-            cfg.core,
-            points.len(),
-            |p| {
-                let (k, l) = points[p];
-                kernels[k].program(l, cfg.flops_trips)
-            },
-            obs,
-            engine,
-        )
-    };
-    let norms = vec![cfg.flops_trips as f64; points.len()];
-    let pmu = CpuPmu::new(cfg.pmu);
-    let runs = {
-        let _s = Span::enter(obs, "read-counters");
-        read_all_cpu(set, &pmu, &stats, &norms, cfg.repetitions, 0)
-    };
-    record_runner_counters(obs, points.len(), set.len(), cfg.repetitions);
-    record_engine_counters(obs, engine, stream);
-    MeasurementSet {
-        domain: "cpu-flops".into(),
-        point_labels: flops_cpu::point_labels(),
-        events: set.iter().map(|(_, d)| d.info.name.to_string()).collect(),
-        runs,
+    fn name(&self, &(_, def, _): &Self::Event) -> String {
+        def.info.name.to_string()
+    }
+
+    fn truth(&self, &(_, def, _): &Self::Event, stats: &ExecStats) -> f64 {
+        def.true_count(stats)
+    }
+
+    fn observe(&self, &(id, def, group): &Self::Event, truth: f64, run: usize) -> f64 {
+        self.pmu.observe_cpu(def, id, truth, group, run)
     }
 }
 
-/// Measures the branching domain.
-// lint: contract(deterministic)
-pub fn measure_branch(set: &CpuEventSet, cfg: &RunnerConfig, obs: &dyn Observer) -> MeasurementSet {
-    branch_with_engine(set, cfg, obs, SimEngine::default())
+/// The GPU platform: one analytic launch per point, every point in
+/// parallel. Launches have no record/replay split, so the engine does not
+/// apply.
+struct Node<'a> {
+    set: Option<&'a GpuEventSet>,
+    pmu: CpuPmu,
+    /// Each event with its position in the read list.
+    events: Vec<(EventId, &'a GpuEventDef, usize)>,
 }
 
-pub(crate) fn branch_with_engine(
-    set: &CpuEventSet,
-    cfg: &RunnerConfig,
-    obs: &dyn Observer,
-    engine: SimEngine,
-) -> MeasurementSet {
-    let _root = Span::enter(obs, "run/branch");
-    let kernels = branch::kernel_space();
-    let (stats, stream) = {
-        let _s = Span::enter(obs, "simulate");
-        simulate_sweep(
-            cfg.core,
-            kernels.len(),
-            |p| kernels[p].program(cfg.branch_iterations),
-            obs,
-            engine,
-        )
-    };
-    let norms = vec![cfg.branch_iterations as f64; kernels.len()];
-    let pmu = CpuPmu::new(cfg.pmu);
-    let runs = {
-        let _s = Span::enter(obs, "read-counters");
-        read_all_cpu(set, &pmu, &stats, &norms, cfg.repetitions, 0)
-    };
-    record_runner_counters(obs, kernels.len(), set.len(), cfg.repetitions);
-    record_engine_counters(obs, engine, stream);
-    MeasurementSet {
-        domain: "branch".into(),
-        point_labels: branch::point_labels(),
-        events: set.iter().map(|(_, d)| d.info.name.to_string()).collect(),
-        runs,
+impl<'a> Node<'a> {
+    /// Reads every event of `set`, which `SimRequest::validate` has checked
+    /// is attached to a GPU request.
+    fn new(set: Option<&'a GpuEventSet>, pmu: CpuPmu) -> Self {
+        let defs = set.into_iter().flat_map(GpuEventSet::iter);
+        Self { set, pmu, events: defs.enumerate().map(|(e, (id, def))| (id, def, e)).collect() }
     }
 }
 
-/// Measures the data-cache domain with per-thread medians (the default).
+impl<'a> Platform for Node<'a> {
+    type Point = Vec<GpuStats>;
+    type Stats = Vec<GpuStats>;
+    type Event = (EventId, &'a GpuEventDef, usize);
+
+    fn simulate<F>(&self, sweep: &Sweep<F>, _obs: &dyn Observer) -> Vec<Vec<GpuStats>>
+    where
+        F: Fn(usize) -> Vec<GpuStats> + Sync,
+    {
+        let points: Vec<usize> = (0..sweep.norms.len()).collect();
+        points.par_iter().map(|&p| (sweep.simulate)(p)).collect()
+    }
+
+    fn events(&self) -> &[Self::Event] {
+        &self.events
+    }
+
+    fn name(&self, &(_, def, _): &Self::Event) -> String {
+        def.info.name.to_string()
+    }
+
+    fn truth(&self, &(id, ..): &Self::Event, devices: &Vec<GpuStats>) -> f64 {
+        self.set.and_then(|set| set.true_count(id, devices)).unwrap_or(0.0)
+    }
+
+    fn observe(&self, &(id, def, pos): &Self::Event, truth: f64, run: usize) -> f64 {
+        self.pmu.observe_gpu(def, id, truth, pos, run)
+    }
+}
+
+/// Runs one domain's benchmark: the single path behind
+/// [`crate::SimRequest::run`], which has validated `req` for `domain`.
 ///
-/// Span tree: `run/dcache` → `simulate` (with one `replay` child on the
-/// default engine, covering every thread's points), then `read-counters`
-/// and `median`.
+/// Span tree: `run/<domain>` → `simulate` (with one `replay` child on the
+/// default engine, covering every thread's points), `read-counters`, and
+/// for the data cache `median`. Sweep-shape and engine counters go to the
+/// request's observer.
 // lint: contract(deterministic)
-pub fn measure_dcache(set: &CpuEventSet, cfg: &RunnerConfig, obs: &dyn Observer) -> MeasurementSet {
-    dcache_with_engine(set, cfg, obs, SimEngine::default())
+pub(crate) fn measure(domain: Domain, req: &SimRequest<'_>) -> MeasurementSet {
+    let (cfg, engine) = (&req.config, req.engine);
+    let core = || Core::new(req.cpu_events, CpuPmu::new(cfg.pmu), engine);
+    match domain {
+        Domain::CpuFlops => run(cpu_flops_sweep(cfg, engine), &core(), req),
+        Domain::Branch => run(branch_sweep(cfg, engine), &core(), req),
+        Domain::Dcache => run(dcache_sweep(cfg, engine), &core(), req),
+        Domain::Dtlb => run(dtlb_sweep(cfg, engine), &core(), req),
+        Domain::Dstore => run(dstore_sweep(cfg, engine), &core(), req),
+        Domain::GpuFlops => {
+            run(gpu_flops_sweep(cfg), &Node::new(req.gpu_events, CpuPmu::new(cfg.pmu)), req)
+        }
+    }
 }
 
-pub(crate) fn dcache_with_engine(
-    set: &CpuEventSet,
-    cfg: &RunnerConfig,
-    obs: &dyn Observer,
-    engine: SimEngine,
-) -> MeasurementSet {
-    let _root = Span::enter(obs, "run/dcache");
-    let per_thread = dcache_threads_with_engine(set, cfg, obs, engine);
-    let median = {
-        let _s = Span::enter(obs, "median");
-        median_across_threads(&per_thread)
+/// Simulates and reads one sweep, then folds the data-cache threads into
+/// their median.
+fn run<P: Platform, F>(sweep: Sweep<F>, platform: &P, req: &SimRequest<'_>) -> MeasurementSet
+where
+    F: Fn(usize) -> P::Point + Sync,
+{
+    let obs = req.observer;
+    let _root = Span::enter(obs, &format!("run/{}", sweep.label));
+    let mut per_thread = thread_runs(&sweep, platform, req.config.repetitions, obs);
+    let runs = match sweep.threads {
+        Some(threads) => {
+            obs.counter("runner.dcache_threads", threads as u64);
+            let _s = Span::enter(obs, "median");
+            median_across_threads(&per_thread)
+        }
+        None => per_thread.pop().unwrap_or_default(),
     };
-    record_runner_counters(obs, median.num_points(), set.len(), cfg.repetitions);
-    obs.counter("runner.dcache_threads", cfg.dcache_threads as u64);
-    median
+    let events: Vec<String> = platform.events().iter().map(|e| platform.name(e)).collect();
+    record_runner_counters(obs, sweep.norms.len(), events.len(), req.config.repetitions);
+    MeasurementSet { domain: sweep.label.into(), point_labels: sweep.point_labels, events, runs }
 }
 
-/// Measures the data-cache domain keeping every thread's measurements
-/// (used by the median-suppression ablation). Result: one `MeasurementSet`
-/// per thread.
-// lint: contract(deterministic)
-pub fn measure_dcache_threads(
-    set: &CpuEventSet,
-    cfg: &RunnerConfig,
+/// Simulates a sweep and reads every event at every point of each
+/// thread's share of it: one [`Runs`] per thread, in thread order. Thread
+/// `t` reads under noise key offset `t * 31_000_000`.
+fn thread_runs<P: Platform, F>(
+    sweep: &Sweep<F>,
+    platform: &P,
+    repetitions: usize,
     obs: &dyn Observer,
-) -> Vec<MeasurementSet> {
-    dcache_threads_with_engine(set, cfg, obs, SimEngine::default())
-}
-
-pub(crate) fn dcache_threads_with_engine(
-    set: &CpuEventSet,
-    cfg: &RunnerConfig,
-    obs: &dyn Observer,
-    engine: SimEngine,
-) -> Vec<MeasurementSet> {
-    let h = cfg.core.hierarchy;
-    let configs = dcache::sweep(&h);
-    let (all_stats, stream) = {
+) -> Vec<Runs>
+where
+    F: Fn(usize) -> P::Point + Sync,
+{
+    let stats = {
         let _s = Span::enter(obs, "simulate");
-        dcache_sweep(cfg, &configs, obs, engine)
+        platform.simulate(sweep, obs)
     };
-    record_engine_counters(obs, engine, stream);
-    let norms: Vec<f64> =
-        configs.iter().map(|c| (c.pointers * dcache::MEASURE_PASSES) as f64).collect();
-    let pmu = CpuPmu::new(cfg.pmu);
     let _s = Span::enter(obs, "read-counters");
-    all_stats
-        .iter()
-        .enumerate()
-        .map(|(thread, stats)| MeasurementSet {
-            domain: format!("dcache/thread={thread}"),
-            point_labels: dcache::point_labels(&h),
-            events: set.iter().map(|(_, d)| d.info.name.to_string()).collect(),
-            runs: read_all_cpu(set, &pmu, stats, &norms, cfg.repetitions, thread * 31_000_000),
+    let events = platform.events();
+    let threads = stats.chunks(sweep.norms.len()).enumerate();
+    threads
+        .map(|(thread, stats)| {
+            let truths: Vec<Vec<f64>> = events
+                .iter()
+                .map(|event| stats.iter().map(|s| platform.truth(event, s)).collect())
+                .collect();
+            read_runs(&truths, &sweep.norms, repetitions, thread * 31_000_000, |e, truth, run| {
+                platform.observe(&events[e], truth, run)
+            })
         })
         .collect()
 }
 
-/// Simulates every chasing thread's sweep as one flattened sweep of
-/// `threads × points` chase points (point `i` is thread `i / points`,
-/// sweep point `i % points`), so the largest points of all threads share
-/// one work queue. Each thread chases its own permutation over a disjoint
-/// buffer. Returns the stats split back per thread.
-fn dcache_sweep(
-    cfg: &RunnerConfig,
-    configs: &[dcache::ChaseConfig],
-    obs: &dyn Observer,
-    engine: SimEngine,
-) -> (Vec<Vec<ExecStats>>, EngineCounts) {
-    let n = configs.len();
-    // Point `i`'s chase: its configuration, buffer base and seed.
-    let chase = |i: usize| {
-        let (thread, p) = (i / n, i % n);
-        (&configs[p], (thread as u64 + 1) << 40, (thread as u64) * 7919 + p as u64)
-    };
-    let (stats, stream) = simulate_chase_sweep(
-        cfg.core,
-        &(0..cfg.dcache_threads * n).map(|i| configs[i % n].pointers).collect::<Vec<_>>(),
-        |i, passes| {
-            let (c, base, seed) = chase(i);
-            c.program(base, seed, passes)
-        },
-        |i, passes| {
-            let (c, base, seed) = chase(i);
-            c.trace(base, seed, passes)
-        },
-        (dcache::WARMUP_PASSES, dcache::MEASURE_PASSES),
-        obs,
-        engine,
-    );
-    let mut stats = stats.into_iter();
-    ((0..cfg.dcache_threads).map(|_| stats.by_ref().take(n).collect()).collect(), stream)
-}
-
-/// Element-wise median across per-thread measurement sets.
-pub fn median_across_threads(threads: &[MeasurementSet]) -> MeasurementSet {
+/// Element-wise median across per-thread runs.
+pub(crate) fn median_across_threads(threads: &[Runs]) -> Runs {
     assert!(!threads.is_empty(), "median_across_threads: no threads");
-    let first = &threads[0];
-    let mut out = first.clone();
-    out.domain = "dcache".into();
+    let mut out = threads[0].clone();
     let mut vals = Vec::with_capacity(threads.len());
-    for r in 0..first.num_runs() {
-        for e in 0..first.num_events() {
-            for p in 0..first.num_points() {
+    for (r, run) in out.iter_mut().enumerate() {
+        for (e, row) in run.iter_mut().enumerate() {
+            for (p, cell) in row.iter_mut().enumerate() {
                 vals.clear();
-                vals.extend(threads.iter().map(|t| t.runs[r][e][p]));
-                out.runs[r][e][p] =
-                    // lint: allow(panic, reachable_panic): per-thread runs always produce at least one sample
-                    catalyze_linalg::vector::median_in_place(&mut vals).expect("non-empty thread set");
+                vals.extend(threads.iter().map(|t| t[r][e][p]));
+                // lint: allow(panic, reachable_panic): per-thread runs always produce at least one sample
+                *cell = median_in_place(&mut vals).expect("non-empty thread set");
             }
         }
     }
     out
 }
 
-/// Measures the data-TLB domain (the extension domain).
-// lint: contract(deterministic)
-pub fn measure_dtlb(set: &CpuEventSet, cfg: &RunnerConfig, obs: &dyn Observer) -> MeasurementSet {
-    dtlb_with_engine(set, cfg, obs, SimEngine::default())
+/// Runs one kernel program on a fresh core: `Direct` executes it, `Replay`
+/// records and replays it.
+fn run_kernel(core: CoreConfig, engine: SimEngine, program: &Program) -> Cpu {
+    let mut cpu = Cpu::new(core);
+    match engine {
+        SimEngine::Direct => cpu.run(program),
+        SimEngine::Replay => cpu.replay(&KernelTrace::record(program)),
+    }
+    cpu
 }
 
-pub(crate) fn dtlb_with_engine(
-    set: &CpuEventSet,
-    cfg: &RunnerConfig,
-    obs: &dyn Observer,
+/// Runs one memory chase on a fresh core: `warmup` passes, then `measure`
+/// passes on fresh statistics.
+///
+/// `program(passes)` and `trace(passes)` are the chase's program and the
+/// trace [`KernelTrace::record`] makes of it. `Direct` runs the warmup and
+/// measurement programs; `Replay` builds the measurement trace once,
+/// straight from its addresses, and drives both phases from it via
+/// `Cpu::replay_passes` (the two phases differ only in the top-level pass
+/// count).
+fn run_chase<P, T>(
+    core: CoreConfig,
     engine: SimEngine,
-) -> MeasurementSet {
-    let _root = Span::enter(obs, "run/dtlb");
-    let tlb = cfg.core.tlb;
-    let configs = crate::dtlb::sweep(&tlb);
-    let (stats, stream) = {
-        let _s = Span::enter(obs, "simulate");
-        simulate_chase_sweep(
-            cfg.core,
-            &configs.iter().map(|c| c.slots()).collect::<Vec<_>>(),
-            |p, passes| configs[p].program(0, 4242 + p as u64, passes),
-            |p, passes| configs[p].trace(0, 4242 + p as u64, passes),
-            (crate::dtlb::WARMUP_PASSES, crate::dtlb::MEASURE_PASSES),
-            obs,
-            engine,
-        )
-    };
-    let norms: Vec<f64> =
-        configs.iter().map(|c| (c.slots() * crate::dtlb::MEASURE_PASSES) as f64).collect();
-    let pmu = CpuPmu::new(cfg.pmu);
-    let runs = {
-        let _s = Span::enter(obs, "read-counters");
-        read_all_cpu(set, &pmu, &stats, &norms, cfg.repetitions, 0)
-    };
-    record_runner_counters(obs, configs.len(), set.len(), cfg.repetitions);
-    record_engine_counters(obs, engine, stream);
-    MeasurementSet {
-        domain: "dtlb".into(),
-        point_labels: crate::dtlb::point_labels(&tlb),
-        events: set.iter().map(|(_, d)| d.info.name.to_string()).collect(),
-        runs,
+    (warmup, measure): (u64, u64),
+    program: P,
+    trace: T,
+) -> Cpu
+where
+    P: Fn(u64) -> Program,
+    T: FnOnce(u64) -> KernelTrace,
+{
+    let mut cpu = Cpu::new(core);
+    match engine {
+        SimEngine::Direct => {
+            cpu.run(&program(warmup));
+            cpu.reset_stats();
+            cpu.run(&program(measure));
+        }
+        SimEngine::Replay => {
+            let trace = trace(measure);
+            cpu.replay_passes(&trace, warmup);
+            cpu.reset_stats();
+            cpu.replay_passes(&trace, measure);
+        }
+    }
+    cpu
+}
+
+/// The CPU-FLOPs sweep: every kernel at each of its three loop sizes.
+fn cpu_flops_sweep(
+    cfg: &RunnerConfig,
+    engine: SimEngine,
+) -> Sweep<impl Fn(usize) -> Cpu + Sync + '_> {
+    let kernels = flops_cpu::kernel_space();
+    let points: Vec<(usize, usize)> =
+        (0..kernels.len()).flat_map(|k| (0..3).map(move |l| (k, l))).collect();
+    Sweep {
+        label: "cpu-flops",
+        point_labels: flops_cpu::point_labels(),
+        norms: vec![cfg.flops_trips as f64; points.len()],
+        threads: None,
+        simulate: move |p: usize| {
+            let (k, l) = points[p];
+            run_kernel(cfg.core, engine, &kernels[k].program(l, cfg.flops_trips))
+        },
     }
 }
 
-/// Measures the store-path (write) cache domain (extension domain).
-// lint: contract(deterministic)
-pub fn measure_dstore(set: &CpuEventSet, cfg: &RunnerConfig, obs: &dyn Observer) -> MeasurementSet {
-    dstore_with_engine(set, cfg, obs, SimEngine::default())
+/// The branching sweep: one point per kernel.
+fn branch_sweep(cfg: &RunnerConfig, engine: SimEngine) -> Sweep<impl Fn(usize) -> Cpu + Sync + '_> {
+    let kernels = branch::kernel_space();
+    Sweep {
+        label: "branch",
+        point_labels: branch::point_labels(),
+        norms: vec![cfg.branch_iterations as f64; kernels.len()],
+        threads: None,
+        simulate: move |p: usize| {
+            run_kernel(cfg.core, engine, &kernels[p].program(cfg.branch_iterations))
+        },
+    }
 }
 
-pub(crate) fn dstore_with_engine(
-    set: &CpuEventSet,
-    cfg: &RunnerConfig,
-    obs: &dyn Observer,
-    engine: SimEngine,
-) -> MeasurementSet {
-    let _root = Span::enter(obs, "run/dstore");
+/// The data-cache sweep on `cfg.dcache_threads` chasing threads, flattened
+/// into one sweep of `threads × points` chases so the largest points of
+/// all threads share one work queue. Each thread chases its own
+/// permutation over a disjoint buffer.
+fn dcache_sweep(cfg: &RunnerConfig, engine: SimEngine) -> Sweep<impl Fn(usize) -> Cpu + Sync + '_> {
     let h = cfg.core.hierarchy;
-    let configs = crate::dstore::sweep(&h);
-    let (stats, stream) = {
-        let _s = Span::enter(obs, "simulate");
-        simulate_chase_sweep(
-            cfg.core,
-            &configs.iter().map(|c| c.lines).collect::<Vec<_>>(),
-            |p, passes| configs[p].program(0, 9000 + p as u64, passes),
-            |p, passes| configs[p].trace(0, 9000 + p as u64, passes),
-            (crate::dstore::WARMUP_PASSES, crate::dstore::MEASURE_PASSES),
-            obs,
-            engine,
-        )
-    };
-    let norms: Vec<f64> =
-        configs.iter().map(|c| (c.lines * crate::dstore::MEASURE_PASSES) as f64).collect();
-    let pmu = CpuPmu::new(cfg.pmu);
-    let runs = {
-        let _s = Span::enter(obs, "read-counters");
-        read_all_cpu(set, &pmu, &stats, &norms, cfg.repetitions, 0)
-    };
-    record_runner_counters(obs, configs.len(), set.len(), cfg.repetitions);
-    record_engine_counters(obs, engine, stream);
-    MeasurementSet {
-        domain: "dstore".into(),
-        point_labels: crate::dstore::point_labels(&h),
-        events: set.iter().map(|(_, d)| d.info.name.to_string()).collect(),
-        runs,
+    let configs = dcache::sweep(&h);
+    let n = configs.len();
+    Sweep {
+        label: "dcache",
+        point_labels: dcache::point_labels(&h),
+        norms: configs.iter().map(|c| (c.pointers * dcache::MEASURE_PASSES) as f64).collect(),
+        threads: Some(cfg.dcache_threads),
+        simulate: move |i: usize| {
+            let (thread, p) = ((i / n) as u64, i % n);
+            let (c, base, seed) = (&configs[p], (thread + 1) << 40, thread * 7919 + p as u64);
+            run_chase(
+                cfg.core,
+                engine,
+                (dcache::WARMUP_PASSES, dcache::MEASURE_PASSES),
+                |passes| c.program(base, seed, passes),
+                |passes| c.trace(base, seed, passes),
+            )
+        },
     }
 }
 
-/// Measures the GPU-FLOPs domain. Kernels execute on device 0 of
-/// `cfg.gpu_devices`; events bound to other devices read their idle
-/// telemetry. GPU launches are analytic, so there is no record/replay
-/// split on this domain.
-// lint: contract(deterministic)
-pub fn measure_gpu_flops(
-    set: &GpuEventSet,
-    cfg: &RunnerConfig,
-    obs: &dyn Observer,
-) -> MeasurementSet {
-    let _root = Span::enter(obs, "run/gpu-flops");
+/// The data-TLB page-chase sweep.
+fn dtlb_sweep(cfg: &RunnerConfig, engine: SimEngine) -> Sweep<impl Fn(usize) -> Cpu + Sync + '_> {
+    let tlb = cfg.core.tlb;
+    let configs = dtlb::sweep(&tlb);
+    Sweep {
+        label: "dtlb",
+        point_labels: dtlb::point_labels(&tlb),
+        norms: configs.iter().map(|c| (c.slots() * dtlb::MEASURE_PASSES) as f64).collect(),
+        threads: None,
+        simulate: move |p: usize| {
+            let (c, seed) = (&configs[p], 4242 + p as u64);
+            run_chase(
+                cfg.core,
+                engine,
+                (dtlb::WARMUP_PASSES, dtlb::MEASURE_PASSES),
+                |passes| c.program(0, seed, passes),
+                |passes| c.trace(0, seed, passes),
+            )
+        },
+    }
+}
+
+/// The store-path cache sweep.
+fn dstore_sweep(cfg: &RunnerConfig, engine: SimEngine) -> Sweep<impl Fn(usize) -> Cpu + Sync + '_> {
+    let h = cfg.core.hierarchy;
+    let configs = dstore::sweep(&h);
+    Sweep {
+        label: "dstore",
+        point_labels: dstore::point_labels(&h),
+        norms: configs.iter().map(|c| (c.lines * dstore::MEASURE_PASSES) as f64).collect(),
+        threads: None,
+        simulate: move |p: usize| {
+            let (c, seed) = (&configs[p], 9000 + p as u64);
+            run_chase(
+                cfg.core,
+                engine,
+                (dstore::WARMUP_PASSES, dstore::MEASURE_PASSES),
+                |passes| c.program(0, seed, passes),
+                |passes| c.trace(0, seed, passes),
+            )
+        },
+    }
+}
+
+/// The GPU-FLOPs sweep: every kernel at each of its three sizes, launched
+/// on device 0 of `cfg.gpu_devices`; events bound to the other devices
+/// read their idle telemetry.
+fn gpu_flops_sweep(cfg: &RunnerConfig) -> Sweep<impl Fn(usize) -> Vec<GpuStats> + Sync + '_> {
     let kernels = flops_gpu::kernel_space();
     let points: Vec<(usize, usize)> =
         (0..kernels.len()).flat_map(|k| (0..3).map(move |l| (k, l))).collect();
-    let device_stats: Vec<Vec<GpuStats>> = {
-        let _s = Span::enter(obs, "simulate");
-        points
-            .par_iter()
-            .map(|&(k, l)| {
-                let mut dev = GpuDevice::new(GpuConfig::default_sim());
-                dev.launch(&kernels[k].kernel(l, cfg.gpu_wavefronts));
-                let mut all = vec![GpuStats::default(); cfg.gpu_devices as usize];
-                all[0] = dev.stats;
-                all
-            })
-            .collect()
-    };
-    let pmu = CpuPmu::new(cfg.pmu);
-    let norms = vec![cfg.gpu_wavefronts as f64; points.len()];
-    let runs = {
-        let _s = Span::enter(obs, "read-counters");
-        let defs: Vec<_> = set.iter().collect();
-        let truths: Vec<Vec<f64>> = defs
-            .iter()
-            .map(|&(id, _)| {
-                device_stats.iter().map(|devs| set.true_count(id, devs).unwrap_or(0.0)).collect()
-            })
-            .collect();
-        read_runs(&truths, &norms, cfg.repetitions, 0, |e, truth, run| {
-            let (id, def) = defs[e];
-            pmu.observe_gpu(def, id, truth, e, run)
-        })
-    };
-    record_runner_counters(obs, points.len(), set.len(), cfg.repetitions);
-    MeasurementSet {
-        domain: "gpu-flops".into(),
+    Sweep {
+        label: "gpu-flops",
         point_labels: flops_gpu::point_labels(),
-        events: set.iter().map(|(_, d)| d.info.name.to_string()).collect(),
-        runs,
+        norms: vec![cfg.gpu_wavefronts as f64; points.len()],
+        threads: None,
+        simulate: move |p: usize| {
+            let (k, l) = points[p];
+            let mut dev = GpuDevice::new(GpuConfig::default_sim());
+            dev.launch(&kernels[k].kernel(l, cfg.gpu_wavefronts));
+            let mut all = vec![GpuStats::default(); cfg.gpu_devices as usize];
+            all[0] = dev.stats;
+            all
+        },
     }
 }
 
@@ -674,11 +653,23 @@ mod tests {
     use catalyze_obs::NoopObserver;
     use catalyze_sim::{mi250x_like, sapphire_rapids_like};
 
+    fn cpu_run(domain: Domain, set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
+        SimRequest::new().domain(domain).events(set).config(cfg).run().unwrap()
+    }
+
+    /// The crate-private per-thread path: every dcache thread's runs,
+    /// before the median.
+    fn dcache_thread_runs(set: &CpuEventSet, cfg: &RunnerConfig) -> Vec<Runs> {
+        let core = Core::new(Some(set), CpuPmu::new(cfg.pmu), SimEngine::default());
+        let sweep = dcache_sweep(cfg, SimEngine::default());
+        thread_runs(&sweep, &core, cfg.repetitions, &NoopObserver)
+    }
+
     #[test]
     fn cpu_flops_measurements_are_exact_for_fp_events() {
         let set = sapphire_rapids_like();
         let cfg = RunnerConfig::fast_test();
-        let ms = measure_cpu_flops(&set, &cfg, &NoopObserver);
+        let ms = cpu_run(Domain::CpuFlops, &set, &cfg);
         ms.validate().unwrap();
         assert_eq!(ms.num_points(), 48);
         assert_eq!(ms.num_runs(), 3);
@@ -697,7 +688,7 @@ mod tests {
     fn branch_measurements_match_expectation_rows() {
         let set = sapphire_rapids_like();
         let cfg = RunnerConfig::fast_test();
-        let ms = measure_branch(&set, &cfg, &NoopObserver);
+        let ms = cpu_run(Domain::Branch, &set, &cfg);
         ms.validate().unwrap();
         assert_eq!(ms.num_points(), 11);
         let cond = ms.event_index("BR_INST_RETIRED:COND").unwrap();
@@ -714,7 +705,8 @@ mod tests {
     fn gpu_measurements_structure() {
         let set = mi250x_like(2);
         let cfg = RunnerConfig::fast_test();
-        let ms = measure_gpu_flops(&set, &cfg, &NoopObserver);
+        let request = SimRequest::new().domain(Domain::GpuFlops).gpu_events(&set).config(&cfg);
+        let ms = request.run().unwrap();
         ms.validate().unwrap();
         assert_eq!(ms.num_points(), 45);
         let add = ms.event_index("rocm:::SQ_INSTS_VALU_ADD_F16:device=0").unwrap();
@@ -733,23 +725,38 @@ mod tests {
         let set = sapphire_rapids_like();
         let mut cfg = RunnerConfig::fast_test();
         cfg.dcache_threads = 3;
-        let per_thread = measure_dcache_threads(&set, &cfg, &NoopObserver);
+        let per_thread = dcache_thread_runs(&set, &cfg);
         assert_eq!(per_thread.len(), 3);
-        for t in &per_thread {
-            t.validate().unwrap();
-        }
         let median = median_across_threads(&per_thread);
-        median.validate().unwrap();
-        assert_eq!(median.domain, "dcache");
+        // The request reports exactly the median of its threads.
+        assert_eq!(cpu_run(Domain::Dcache, &set, &cfg).runs, median);
         // The median at every cell lies between the per-thread min and max.
-        for e in 0..median.num_events().min(20) {
-            for p in 0..median.num_points() {
-                let vals: Vec<f64> = per_thread.iter().map(|t| t.runs[0][e][p]).collect();
+        for e in 0..median[0].len().min(20) {
+            for p in 0..median[0][e].len() {
+                let vals: Vec<f64> = per_thread.iter().map(|t| t[0][e][p]).collect();
                 let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
                 let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let m = median.runs[0][e][p];
+                let m = median[0][e][p];
                 assert!(m >= lo && m <= hi);
             }
+        }
+    }
+
+    #[test]
+    fn one_thread_dcache_request_reads_thread_zero_of_any_fan_out() {
+        // Thread 0 chases the same buffer and seeds and reads under key
+        // offset 0 at every fan-out, and the median of one value is that
+        // value, so a one-thread request reports thread 0's readings.
+        let set = sapphire_rapids_like();
+        let mut cfg = RunnerConfig::fast_test();
+        cfg.dcache_threads = 1;
+        let single = cpu_run(Domain::Dcache, &set, &cfg);
+        for threads in [2, 4] {
+            cfg.dcache_threads = threads;
+            let fanned = cpu_run(Domain::Dcache, &set, &cfg);
+            assert_eq!(single.runs, dcache_thread_runs(&set, &cfg)[0], "{threads} threads");
+            assert_eq!(single.events, fanned.events);
+            assert_eq!(single.point_labels, fanned.point_labels);
         }
     }
 
@@ -759,7 +766,8 @@ mod tests {
         let set = sapphire_rapids_like();
         let cfg = RunnerConfig::fast_test();
         let trace = TraceCollector::new();
-        let ms = measure_branch(&set, &cfg, &trace);
+        let request = SimRequest::new().domain(Domain::Branch).events(&set).config(&cfg);
+        let ms = request.observer(&trace).run().unwrap();
         ms.validate().unwrap();
         // Root + simulate (+ one replay child) + read-counters spans.
         assert_eq!(trace.span_count(), 4);
@@ -775,8 +783,7 @@ mod tests {
         // Branch kernels have no memory stream, so nothing is counted.
         assert_eq!(trace.counter_value("stream.passes_counted").unwrap_or(0), 0);
         // The noop-observer path produces the same measurements.
-        let plain = measure_branch(&set, &cfg, &NoopObserver);
-        assert_eq!(plain.runs, ms.runs);
+        assert_eq!(request.run().unwrap().runs, ms.runs);
     }
 
     #[test]
@@ -785,7 +792,8 @@ mod tests {
         let set = sapphire_rapids_like();
         let cfg = RunnerConfig::fast_test();
         let trace = TraceCollector::new();
-        let ms = measure_dcache(&set, &cfg, &trace);
+        let request = SimRequest::new().domain(Domain::Dcache).events(&set).config(&cfg);
+        let ms = request.observer(&trace).run().unwrap();
         ms.validate().unwrap();
         // run/dcache + simulate + replay (both threads' points in one
         // sweep) + read-counters + median.
@@ -806,7 +814,7 @@ mod tests {
     fn dcache_l1_region_hit_rate() {
         let set = sapphire_rapids_like();
         let cfg = RunnerConfig::fast_test();
-        let ms = measure_dcache(&set, &cfg, &NoopObserver);
+        let ms = cpu_run(Domain::Dcache, &set, &cfg);
         let l1hit = ms.event_index("MEM_LOAD_RETIRED:L1_HIT").unwrap();
         let v = ms.mean_vector(l1hit);
         // First two points are L1-resident: ~1 hit per access.
@@ -822,60 +830,23 @@ mod tests {
         cfg.dcache_threads = 3;
         let configs = dcache::sweep(&cfg.core.hierarchy);
         // The reference: one sweep per thread, nested, on the direct engine.
-        let nested: Vec<Vec<ExecStats>> = (0..cfg.dcache_threads)
-            .map(|t| {
+        let nested: Vec<ExecStats> = (0..cfg.dcache_threads)
+            .flat_map(|t| {
                 let base = (t as u64 + 1) << 40;
-                configs
-                    .iter()
-                    .enumerate()
-                    .map(|(p, c)| {
-                        let seed = t as u64 * 7919 + p as u64;
-                        let mut cpu = Cpu::new(cfg.core);
-                        cpu.run(&c.program(base, seed, dcache::WARMUP_PASSES));
-                        cpu.reset_stats();
-                        cpu.run(&c.program(base, seed, dcache::MEASURE_PASSES));
-                        cpu.stats()
-                    })
-                    .collect()
+                configs.iter().enumerate().map(move |(p, c)| {
+                    let seed = t as u64 * 7919 + p as u64;
+                    let mut cpu = Cpu::new(cfg.core);
+                    cpu.run(&c.program(base, seed, dcache::WARMUP_PASSES));
+                    cpu.reset_stats();
+                    cpu.run(&c.program(base, seed, dcache::MEASURE_PASSES));
+                    cpu.stats()
+                })
             })
             .collect();
         for engine in [SimEngine::Direct, SimEngine::Replay] {
-            let (flat, _) = dcache_sweep(&cfg, &configs, &NoopObserver, engine);
+            let core = Core::new(None, CpuPmu::new(cfg.pmu), engine);
+            let flat = core.simulate(&dcache_sweep(&cfg, engine), &NoopObserver);
             assert_eq!(flat, nested, "{engine:?} flattened indexing drifted");
-        }
-    }
-
-    #[test]
-    fn engines_agree_on_every_cpu_domain() {
-        use crate::request::SimEngine;
-        let set = sapphire_rapids_like();
-        let cfg = RunnerConfig::fast_test();
-        let obs = &NoopObserver;
-        let pairs = [
-            (
-                cpu_flops_with_engine(&set, &cfg, obs, SimEngine::Direct),
-                cpu_flops_with_engine(&set, &cfg, obs, SimEngine::Replay),
-            ),
-            (
-                branch_with_engine(&set, &cfg, obs, SimEngine::Direct),
-                branch_with_engine(&set, &cfg, obs, SimEngine::Replay),
-            ),
-            (
-                dcache_with_engine(&set, &cfg, obs, SimEngine::Direct),
-                dcache_with_engine(&set, &cfg, obs, SimEngine::Replay),
-            ),
-            (
-                dtlb_with_engine(&set, &cfg, obs, SimEngine::Direct),
-                dtlb_with_engine(&set, &cfg, obs, SimEngine::Replay),
-            ),
-            (
-                dstore_with_engine(&set, &cfg, obs, SimEngine::Direct),
-                dstore_with_engine(&set, &cfg, obs, SimEngine::Replay),
-            ),
-        ];
-        for (direct, replay) in &pairs {
-            assert_eq!(direct.domain, replay.domain);
-            assert_eq!(direct.runs, replay.runs, "{} engines disagree", direct.domain);
         }
     }
 }

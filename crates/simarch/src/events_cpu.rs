@@ -173,7 +173,6 @@ impl CpuBase {
 
 /// Full definition of one raw CPU event.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-// lint: allow(dead_api): re-exported event-definition type in CpuEventSet's public surface
 pub struct CpuEventDef {
     /// Catalog entry (name, description, domain).
     pub info: EventInfo,

@@ -194,7 +194,6 @@ impl GpuBase {
 
 /// Full definition of one GPU raw event (bound to one device).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-// lint: allow(dead_api): event-definition type in GpuEventSet's public surface
 pub struct GpuEventDef {
     /// Catalog entry.
     pub info: EventInfo,

@@ -1,9 +1,13 @@
-//! Synthetic CAT runner entry for the graph corpus: `run_fixture` is an
-//! R010 entry point (a `cat` crate function named `run_*`), and the call
-//! chain crosses into the `linalg` fixture file.
+//! Synthetic CAT runner entry for the graph corpus: `SimRequest::run` is
+//! an R010 entry point, and the call chain crosses into the `linalg`
+//! fixture file.
 
-fn run_fixture() {
-    helper();
+struct SimRequest;
+
+impl SimRequest {
+    fn run(self) {
+        helper();
+    }
 }
 
 fn helper() {

@@ -5,7 +5,7 @@
 //! entry set is declared here, not inferred:
 //!
 //! * `AnalysisRequest::run` — the library analysis pipeline;
-//! * the CAT runners (`cat` crate functions named `run_*`);
+//! * `SimRequest::run` — the one way to run a CAT benchmark domain;
 //! * the CLI entry point (`cli` crate free `main`).
 //!
 //! Every non-test library function transitively reachable from an entry
@@ -45,8 +45,8 @@ pub fn entries(graph: &WorkspaceGraph) -> Vec<usize> {
         .iter()
         .enumerate()
         .filter(|(_, f)| {
-            (f.owner.as_deref() == Some("AnalysisRequest") && f.name == "run")
-                || (f.crate_name == "cat" && f.owner.is_none() && f.name.starts_with("run_"))
+            (f.name == "run"
+                && matches!(f.owner.as_deref(), Some("AnalysisRequest" | "SimRequest")))
                 || (f.crate_name == "cli" && f.owner.is_none() && f.name == "main")
         })
         .map(|(i, _)| i)
@@ -185,7 +185,10 @@ mod tests {
     #[test]
     fn unwrap_reachable_from_runner_is_flagged_with_chain() {
         let got = run(&[
-            ("crates/cat/src/runner.rs", "pub fn run_x() { catalyze::step(); }"),
+            (
+                "crates/cat/src/request.rs",
+                "impl SimRequest<'_> { pub fn run(self) { catalyze::step(); } }",
+            ),
             (
                 "crates/core/src/lib.rs",
                 "pub fn step() { inner(); }\nfn inner() { maybe().unwrap(); }",
@@ -194,13 +197,14 @@ mod tests {
         assert_eq!(got.len(), 1, "{got:?}");
         assert_eq!(got[0].0, 2);
         assert!(got[0].1.contains("`.unwrap()`"), "{}", got[0].1);
-        assert!(got[0].1.contains("cat::run_x -> core::step -> core::inner"), "{}", got[0].1);
+        let chain = "cat::SimRequest::run -> core::step -> core::inner";
+        assert!(got[0].1.contains(chain), "{}", got[0].1);
     }
 
     #[test]
     fn unreachable_code_is_not_flagged() {
         let got = run(&[
-            ("crates/cat/src/runner.rs", "pub fn run_x() {}"),
+            ("crates/cat/src/request.rs", "impl SimRequest<'_> { pub fn run(self) {} }"),
             ("crates/core/src/lib.rs", "pub fn orphan() { maybe().unwrap(); }"),
         ]);
         assert!(got.is_empty(), "{got:?}");
@@ -209,7 +213,10 @@ mod tests {
     #[test]
     fn caller_controlled_index_is_flagged_internal_index_is_not() {
         let got = run(&[
-            ("crates/cat/src/runner.rs", "pub fn run_x() { catalyze::pick(xs, 0); }"),
+            (
+                "crates/cat/src/request.rs",
+                "impl SimRequest<'_> { pub fn run(self) { catalyze::pick(xs, 0); } }",
+            ),
             (
                 "crates/core/src/lib.rs",
                 "pub fn pick(xs: &[f64], i: usize) -> f64 {\n\
@@ -245,5 +252,53 @@ mod tests {
             ),
         ]);
         assert!(got.is_empty(), "{got:?}");
+    }
+
+    #[test]
+    fn helpers_named_run_prefix_are_not_entries() {
+        let got = run(&[
+            ("crates/cat/src/runner.rs", "fn run_key() { catalyze::go(); }"),
+            ("crates/core/src/lib.rs", "pub fn go() { panic!(\"boom\"); }"),
+        ]);
+        assert!(got.is_empty(), "{got:?}");
+    }
+
+    /// The real workspace: `SimRequest::run` reaches every domain's kernel
+    /// or chase builders through `measure` and the domain's sweep
+    /// descriptor, whose closures call the builders in its own body.
+    #[test]
+    fn sim_request_run_reaches_every_domain_builder() {
+        let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let Ok((files, _, policy)) = crate::rules::load_repo_inputs(&repo) else {
+            panic!("the workspace loads");
+        };
+        let analyses: Vec<FileAnalysis<'_>> = files.iter().map(FileAnalysis::new).collect();
+        let deps = policy.entries().iter().map(|e| (e.dir.clone(), e.allowed.clone())).collect();
+        let graph = WorkspaceGraph::build_filtered(&analyses, &deps);
+        let idx = |q: &str| {
+            let found = graph.fns.iter().position(|f| f.qual == q && !f.is_test);
+            found.unwrap_or_else(|| panic!("{q} is in the graph"))
+        };
+        let entry = idx("cat::SimRequest::run");
+        assert!(super::entries(&graph).contains(&entry));
+        let parent = graph.reachable_from(&[entry]);
+        let measure = idx("cat::measure");
+        assert!(graph.calls[entry].contains(&measure));
+        for (sweep, builders) in [
+            ("cat::cpu_flops_sweep", &["cat::FlopsKernel::program"][..]),
+            ("cat::branch_sweep", &["cat::BranchKernel::program"]),
+            ("cat::dcache_sweep", &["cat::ChaseConfig::program", "cat::ChaseConfig::trace"]),
+            ("cat::dtlb_sweep", &["cat::TlbChaseConfig::program", "cat::TlbChaseConfig::trace"]),
+            ("cat::dstore_sweep", &["cat::StoreConfig::program", "cat::StoreConfig::trace"]),
+            ("cat::gpu_flops_sweep", &["cat::GpuFlopsKernel::kernel"]),
+        ] {
+            let sweep_fn = idx(sweep);
+            assert!(graph.calls[measure].contains(&sweep_fn), "measure calls {sweep}");
+            for builder in builders {
+                let b = idx(builder);
+                assert!(graph.calls[sweep_fn].contains(&b), "{sweep} calls {builder}");
+                assert!(parent[b].is_some(), "SimRequest::run reaches {builder}");
+            }
+        }
     }
 }

@@ -163,7 +163,7 @@ fn graph_rules_fire_on_the_injected_corpus_with_exact_spans() {
     assert!(r008.message.contains("shared"), "{}", r008.message);
     let r010 = &report.diagnostics[4];
     assert!(
-        r010.message.contains("cat::run_fixture -> cat::helper -> linalg::deep_unwrap"),
+        r010.message.contains("cat::SimRequest::run -> cat::helper -> linalg::deep_unwrap"),
         "{}",
         r010.message
     );

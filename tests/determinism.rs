@@ -5,8 +5,8 @@
 use catalyze::basis;
 use catalyze::pipeline::{AnalysisConfig, AnalysisRequest};
 use catalyze::signature;
-use catalyze_cat::{measure_branch, measure_cpu_flops, measure_gpu_flops, RunnerConfig};
-use catalyze_sim::{mi250x_like, sapphire_rapids_like};
+use catalyze_cat::{Domain, MeasurementSet, RunnerConfig, SimRequest};
+use catalyze_sim::{mi250x_like, sapphire_rapids_like, CpuEventSet, GpuEventSet};
 
 fn cfg() -> RunnerConfig {
     let mut c = RunnerConfig::fast_test();
@@ -15,27 +15,38 @@ fn cfg() -> RunnerConfig {
     c
 }
 
+/// Runs one CPU domain through the public entry point.
+fn measure(domain: Domain, set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
+    SimRequest::new().domain(domain).events(set).config(cfg).run().expect("valid request")
+}
+
+/// Runs the GPU-FLOPs domain through the public entry point.
+fn measure_gpu(set: &GpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
+    let request = SimRequest::new().domain(Domain::GpuFlops).gpu_events(set).config(cfg);
+    request.run().expect("valid request")
+}
+
 #[test]
 fn branch_measurements_bitwise_reproducible() {
     let set = sapphire_rapids_like();
-    let a = measure_branch(&set, &cfg(), &catalyze_obs::NoopObserver);
-    let b = measure_branch(&set, &cfg(), &catalyze_obs::NoopObserver);
+    let a = measure(Domain::Branch, &set, &cfg());
+    let b = measure(Domain::Branch, &set, &cfg());
     assert_eq!(a, b);
 }
 
 #[test]
 fn cpu_flops_measurements_bitwise_reproducible() {
     let set = sapphire_rapids_like();
-    let a = measure_cpu_flops(&set, &cfg(), &catalyze_obs::NoopObserver);
-    let b = measure_cpu_flops(&set, &cfg(), &catalyze_obs::NoopObserver);
+    let a = measure(Domain::CpuFlops, &set, &cfg());
+    let b = measure(Domain::CpuFlops, &set, &cfg());
     assert_eq!(a, b);
 }
 
 #[test]
 fn gpu_measurements_bitwise_reproducible() {
     let set = mi250x_like(2);
-    let a = measure_gpu_flops(&set, &cfg(), &catalyze_obs::NoopObserver);
-    let b = measure_gpu_flops(&set, &cfg(), &catalyze_obs::NoopObserver);
+    let a = measure_gpu(&set, &cfg());
+    let b = measure_gpu(&set, &cfg());
     assert_eq!(a, b);
 }
 
@@ -46,8 +57,8 @@ fn different_pmu_seed_changes_noisy_reads_only() {
     let mut c2 = cfg();
     c1.pmu.seed = 1;
     c2.pmu.seed = 2;
-    let a = measure_branch(&set, &c1, &catalyze_obs::NoopObserver);
-    let b = measure_branch(&set, &c2, &catalyze_obs::NoopObserver);
+    let a = measure(Domain::Branch, &set, &c1);
+    let b = measure(Domain::Branch, &set, &c2);
     // Architectural counters identical...
     let cond = a.event_index("BR_INST_RETIRED:COND").unwrap();
     assert_eq!(a.runs[0][cond], b.runs[0][cond]);
@@ -59,7 +70,7 @@ fn different_pmu_seed_changes_noisy_reads_only() {
 #[test]
 fn analysis_is_a_pure_function_of_measurements() {
     let set = sapphire_rapids_like();
-    let ms = measure_branch(&set, &cfg(), &catalyze_obs::NoopObserver);
+    let ms = measure(Domain::Branch, &set, &cfg());
     let basis = basis::branch_basis();
     let signatures = signature::branch_signatures();
     let run = || {
@@ -104,7 +115,7 @@ fn digest(ms: &catalyze_cat::MeasurementSet) -> u64 {
 /// slips past them; this test catches it across commits.
 #[test]
 fn measurements_match_recorded_digests() {
-    use catalyze_cat::{Domain, SimEngine, SimRequest};
+    use catalyze_cat::SimEngine;
     use catalyze_sim::cache::{CacheConfig, ReplacementPolicy};
 
     let set = sapphire_rapids_like();

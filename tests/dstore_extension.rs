@@ -53,14 +53,14 @@ fn dstore_pipeline_composes_write_metrics() {
 
 #[test]
 fn dstore_sync_runner_matches_the_observed_variant() {
-    // `measure_dstore` is a certified-deterministic entry point
-    // (`// lint: contract(deterministic)`): two runs, and the observed
-    // variant under a noop observer, must agree bit for bit.
+    // `SimRequest::run` is a certified-deterministic entry point
+    // (`// lint: contract(deterministic)`): two runs, and a run under a
+    // recording observer, must agree bit for bit.
     let h = Harness::new(Scale::Fast);
-    let first = catalyze_cat::measure_dstore(&h.cpu_events, &h.cfg, &catalyze_obs::NoopObserver);
+    let first = h.measure("dstore", &catalyze_obs::NoopObserver).unwrap();
     first.validate().unwrap();
-    let second = catalyze_cat::measure_dstore(&h.cpu_events, &h.cfg, &catalyze_obs::NoopObserver);
-    let observed = catalyze_cat::measure_dstore(&h.cpu_events, &h.cfg, &catalyze_obs::NoopObserver);
+    let second = h.measure("dstore", &catalyze_obs::NoopObserver).unwrap();
+    let observed = h.measure("dstore", &catalyze_obs::TraceCollector::new()).unwrap();
     assert_eq!(first, second, "repeated sync runs must be bit-identical");
     assert_eq!(first, observed, "observation must not perturb the measurements");
 }

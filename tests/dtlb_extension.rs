@@ -40,7 +40,7 @@ fn dtlb_pipeline_composes_tlb_metrics() {
 #[test]
 fn dtlb_measurements_have_clean_regions() {
     let h = Harness::new(Scale::Fast);
-    let ms = catalyze_cat::measure_dtlb(&h.cpu_events, &h.cfg, &catalyze_obs::NoopObserver);
+    let ms = h.measure("dtlb", &catalyze_obs::NoopObserver).unwrap();
     ms.validate().unwrap();
     let walks = ms.event_index("DTLB_LOAD_MISSES:MISS_CAUSES_A_WALK").unwrap();
     let v = ms.mean_vector(walks);

@@ -8,10 +8,8 @@
 use catalyze::basis::{self, CacheRegion};
 use catalyze::pipeline::{AnalysisConfig, AnalysisReport, AnalysisRequest};
 use catalyze::signature;
-use catalyze_cat::{
-    dcache, measure_branch, measure_cpu_flops, measure_dcache, measure_gpu_flops, RunnerConfig,
-};
-use catalyze_sim::{mi250x_like, sapphire_rapids_like};
+use catalyze_cat::{dcache, Domain, MeasurementSet, RunnerConfig, SimRequest};
+use catalyze_sim::{mi250x_like, sapphire_rapids_like, CpuEventSet, GpuEventSet};
 
 fn cfg() -> RunnerConfig {
     // Down-scaled but structurally identical to the full harness settings.
@@ -20,6 +18,17 @@ fn cfg() -> RunnerConfig {
     c.flops_trips = 512;
     c.branch_iterations = 1024;
     c
+}
+
+/// Runs one CPU domain through the public entry point.
+fn measure(domain: Domain, set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
+    SimRequest::new().domain(domain).events(set).config(cfg).run().expect("valid request")
+}
+
+/// Runs the GPU-FLOPs domain through the public entry point.
+fn measure_gpu(set: &GpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
+    let request = SimRequest::new().domain(Domain::GpuFlops).gpu_events(set).config(cfg);
+    request.run().expect("valid request")
 }
 
 fn regions(core: &catalyze_sim::CoreConfig) -> Vec<CacheRegion> {
@@ -56,7 +65,7 @@ fn run_request(
 fn cpu_flops_report() -> AnalysisReport {
     let set = sapphire_rapids_like();
     let c = cfg();
-    let ms = measure_cpu_flops(&set, &c, &catalyze_obs::NoopObserver);
+    let ms = measure(Domain::CpuFlops, &set, &c);
     run_request(
         "cpu-flops",
         &ms,
@@ -128,7 +137,7 @@ fn cpu_flops_metrics_match_table5() {
 fn branch_selection_and_metrics_match_section_5c_and_table7() {
     let set = sapphire_rapids_like();
     let c = cfg();
-    let ms = measure_branch(&set, &c, &catalyze_obs::NoopObserver);
+    let ms = measure(Domain::Branch, &set, &c);
     let report = run_request(
         "branch",
         &ms,
@@ -180,7 +189,7 @@ fn branch_selection_and_metrics_match_section_5c_and_table7() {
 fn gpu_selection_and_metrics_match_section_5b_and_table6() {
     let set = mi250x_like(2);
     let c = cfg();
-    let ms = measure_gpu_flops(&set, &c, &catalyze_obs::NoopObserver);
+    let ms = measure_gpu(&set, &c);
     let report = run_request(
         "gpu-flops",
         &ms,
@@ -220,7 +229,7 @@ fn gpu_selection_and_metrics_match_section_5b_and_table6() {
 fn dcache_selection_and_metrics_match_section_5d_and_table8() {
     let set = sapphire_rapids_like();
     let c = cfg();
-    let ms = measure_dcache(&set, &c, &catalyze_obs::NoopObserver);
+    let ms = measure(Domain::Dcache, &set, &c);
     let report = run_request(
         "dcache",
         &ms,

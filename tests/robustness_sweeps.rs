@@ -5,15 +5,20 @@
 use catalyze::basis::{self, CacheRegion};
 use catalyze::pipeline::{AnalysisConfig, AnalysisRequest};
 use catalyze::signature;
-use catalyze_cat::{dcache, measure_branch, measure_dcache, RunnerConfig};
+use catalyze_cat::{dcache, Domain, MeasurementSet, RunnerConfig, SimRequest};
 use catalyze_sim::cache::{CacheConfig, ReplacementPolicy};
 use catalyze_sim::hierarchy::HierarchyConfig;
-use catalyze_sim::sapphire_rapids_like;
+use catalyze_sim::{sapphire_rapids_like, CpuEventSet};
 
 fn fast() -> RunnerConfig {
     let mut c = RunnerConfig::fast_test();
     c.branch_iterations = 1024;
     c
+}
+
+/// Runs one CPU domain through the public entry point.
+fn measure(domain: Domain, set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
+    SimRequest::new().domain(domain).events(set).config(cfg).run().expect("valid request")
 }
 
 #[test]
@@ -23,7 +28,7 @@ fn branch_selection_is_seed_invariant() {
     for seed in [1u64, 0xDEAD_BEEF, 42_424_242] {
         let mut cfg = fast();
         cfg.pmu.seed = seed;
-        let ms = measure_branch(&set, &cfg, &catalyze_obs::NoopObserver);
+        let ms = measure(Domain::Branch, &set, &cfg);
         let basis = basis::branch_basis();
         let signatures = signature::branch_signatures();
         let report = AnalysisRequest::new()
@@ -55,7 +60,7 @@ fn dcache_report_under(policy: ReplacementPolicy) -> catalyze::AnalysisReport {
         prefetch_next_line: false,
     };
     let set = sapphire_rapids_like();
-    let ms = measure_dcache(&set, &cfg, &catalyze_obs::NoopObserver);
+    let ms = measure(Domain::Dcache, &set, &cfg);
     let regions: Vec<CacheRegion> = dcache::point_regions(&cfg.core.hierarchy)
         .into_iter()
         .map(|r| match r {

@@ -12,14 +12,19 @@
 use catalyze::basis::{self, Basis};
 use catalyze::pipeline::{AnalysisConfig, AnalysisReport, AnalysisRequest};
 use catalyze::signature::{self, MetricSignature};
-use catalyze_cat::{measure_branch, measure_cpu_flops, MeasurementSet, RunnerConfig};
-use catalyze_sim::zen_like;
+use catalyze_cat::{Domain, MeasurementSet, RunnerConfig, SimRequest};
+use catalyze_sim::{zen_like, CpuEventSet};
 
 fn cfg() -> RunnerConfig {
     let mut c = RunnerConfig::fast_test();
     c.flops_trips = 512;
     c.branch_iterations = 1024;
     c
+}
+
+/// Runs one CPU domain through the public entry point.
+fn measure(domain: Domain, set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
+    SimRequest::new().domain(domain).events(set).config(cfg).run().expect("valid request")
 }
 
 /// Runs one Zen-domain analysis over `ms` via the request builder.
@@ -44,7 +49,7 @@ fn run_request(
 #[test]
 fn per_precision_metrics_not_composable_on_zen() {
     let set = zen_like();
-    let ms = measure_cpu_flops(&set, &cfg(), &catalyze_obs::NoopObserver);
+    let ms = measure(Domain::CpuFlops, &set, &cfg());
     let mut signatures = signature::cpu_flops_signatures();
     signatures.push(signature::all_fp_ops_signature());
     let report = run_request(
@@ -77,7 +82,7 @@ fn per_precision_metrics_not_composable_on_zen() {
 #[test]
 fn branch_metrics_use_different_combinations_on_zen() {
     let set = zen_like();
-    let ms = measure_branch(&set, &cfg(), &catalyze_obs::NoopObserver);
+    let ms = measure(Domain::Branch, &set, &cfg());
     let report = run_request(
         "branch/zen",
         &ms,
@@ -117,7 +122,7 @@ fn branch_metrics_use_different_combinations_on_zen() {
 #[test]
 fn zen_flop_events_survive_noise_and_representation() {
     let set = zen_like();
-    let ms = measure_cpu_flops(&set, &cfg(), &catalyze_obs::NoopObserver);
+    let ms = measure(Domain::CpuFlops, &set, &cfg());
     let report = run_request(
         "cpu-flops/zen",
         &ms,
@@ -142,11 +147,11 @@ fn zen_cache_metrics_compose_from_amd_events() {
     // so L1 hits compose as `LS_DC_ACCESSES − LS_MAB_ALLOC` (accesses minus
     // miss-buffer allocations).
     use catalyze::basis::CacheRegion;
-    use catalyze_cat::{dcache, measure_dcache};
+    use catalyze_cat::dcache;
 
     let set = zen_like();
     let cfg = cfg();
-    let ms = measure_dcache(&set, &cfg, &catalyze_obs::NoopObserver);
+    let ms = measure(Domain::Dcache, &set, &cfg);
     let regions: Vec<CacheRegion> = dcache::point_regions(&cfg.core.hierarchy)
         .into_iter()
         .map(|r| match r {
