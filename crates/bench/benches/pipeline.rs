@@ -4,9 +4,10 @@
 
 use catalyze::noise::analyze_noise;
 use catalyze::normalize::represent;
-use catalyze::pipeline::AnalysisRequest;
 use catalyze::select::select_events;
 use catalyze_bench::{Harness, Scale};
+use catalyze_cat::Domain;
+use catalyze_check::study;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -14,28 +15,17 @@ fn bench_full_analyze(c: &mut Criterion) {
     let h = Harness::new(Scale::Fast);
     let mut g = c.benchmark_group("analyze_domain");
     g.sample_size(20);
-    for name in ["branch", "cpu-flops", "gpu-flops"] {
-        let d = h.domain(name).expect("known domain").expect("domain analyzes");
-        let cfg = d.analysis.config;
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                AnalysisRequest::new()
-                    .domain(black_box(name))
-                    .events(&d.measurements.events)
-                    .runs(&d.measurements.runs)
-                    .basis(&d.basis)
-                    .signatures(&d.signatures)
-                    .config(cfg)
-                    .run()
-            })
-        });
+    for domain in [Domain::Branch, Domain::CpuFlops, Domain::GpuFlops] {
+        let ms = h.measure(domain, &catalyze_obs::NoopObserver).expect("valid request");
+        let study = study(domain, &h.cfg);
+        g.bench_function(domain.label(), |b| b.iter(|| study.request(black_box(&ms)).run()));
     }
     g.finish();
 }
 
 fn bench_stages(c: &mut Criterion) {
     let h = Harness::new(Scale::Fast);
-    let d = h.cpu_flops().expect("cpu-flops analysis");
+    let d = h.domain(Domain::CpuFlops).expect("cpu-flops analysis");
     let ms = &d.measurements;
 
     c.bench_function("stage_noise_filter", |b| {
@@ -64,9 +54,9 @@ fn bench_measurement_runners(c: &mut Criterion) {
     let h = Harness::new(Scale::Fast);
     let mut g = c.benchmark_group("measure_domain");
     g.sample_size(10);
-    for name in ["branch", "gpu-flops"] {
-        g.bench_function(name, |b| {
-            b.iter(|| h.measure(black_box(name), &catalyze_obs::NoopObserver))
+    for domain in [Domain::Branch, Domain::GpuFlops] {
+        g.bench_function(domain.label(), |b| {
+            b.iter(|| h.measure(black_box(domain), &catalyze_obs::NoopObserver))
         });
     }
     g.finish();

@@ -11,9 +11,9 @@
 
 use crate::harness::{DomainResult, Harness};
 use catalyze::noise::max_rnmse;
-use catalyze::pipeline::{AnalysisConfig, AnalysisRequest};
 use catalyze_cat::{Domain, MeasurementSet, RunnerConfig, SimRequest};
 use catalyze_linalg::{qrcp, specialized_qrcp, SpQrcpParams};
+use catalyze_obs::NoopObserver;
 
 /// Outcome of the pivot-rule ablation on one domain.
 #[derive(Debug, Clone)]
@@ -142,7 +142,7 @@ pub struct MedianAblation {
 pub fn median_ablation(h: &Harness) -> MedianAblation {
     let single = single_thread_dcache(h);
     // lint: allow(panic): the harness's own configuration is valid
-    let median = h.measure("dcache", &catalyze_obs::NoopObserver).expect("valid dcache request");
+    let median = h.measure(Domain::Dcache, &NoopObserver).expect("valid dcache request");
     let events = [
         "MEM_LOAD_RETIRED:L1_HIT",
         "MEM_LOAD_RETIRED:L1_MISS",
@@ -170,30 +170,6 @@ fn single_thread_dcache(h: &Harness) -> MeasurementSet {
     request.run().expect("valid dcache request")
 }
 
-/// Re-analyzes the cache domain *without* the per-thread median (first
-/// thread only) so the effect on the final metric definitions can be
-/// compared.
-///
-/// # Errors
-///
-/// Propagates analysis failures from the pipeline's linear-algebra stages.
-// lint: allow(dead_api): ablation entry point kept for table reproduction alongside median_ablation
-pub fn dcache_without_median(
-    h: &Harness,
-) -> Result<catalyze::AnalysisReport, catalyze::AnalysisError> {
-    let ms = single_thread_dcache(h);
-    let basis = catalyze::basis::dcache_basis(&h.cache_regions());
-    let signatures = catalyze::signature::dcache_signatures();
-    AnalysisRequest::new()
-        .domain("dcache (single thread)")
-        .events(&ms.events)
-        .runs(&ms.runs)
-        .basis(&basis)
-        .signatures(&signatures)
-        .config(AnalysisConfig::dcache())
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +178,7 @@ mod tests {
     #[test]
     fn pivot_ablation_shows_divergence() {
         let h = Harness::new(Scale::Fast);
-        let d = h.dcache().unwrap();
+        let d = h.domain(Domain::Dcache).unwrap();
         let ab = pivot_rule_ablation(&d);
         assert_eq!(ab.specialized.len(), 4);
         assert!(!ab.standard.is_empty());
@@ -225,7 +201,7 @@ mod tests {
     #[test]
     fn alpha_sweep_stable_over_decades() {
         let h = Harness::new(Scale::Fast);
-        let d = h.branch().unwrap();
+        let d = h.domain(Domain::Branch).unwrap();
         let rows = alpha_sweep(&d, &[1e-5, 5e-4, 1e-3, 1e-2]).unwrap();
         for r in &rows {
             assert!(r.matches_default, "alpha {} changed the selection", r.alpha);
@@ -235,7 +211,7 @@ mod tests {
     #[test]
     fn tau_sweep_monotone() {
         let h = Harness::new(Scale::Fast);
-        let d = h.branch().unwrap();
+        let d = h.domain(Domain::Branch).unwrap();
         let rows = tau_sweep(&d, &[1e-14, 1e-10, 1e-2, 1e2]);
         for w in rows.windows(2) {
             assert!(w[0].kept <= w[1].kept, "kept counts must grow with tau");

@@ -22,6 +22,8 @@
 use catalyze::report;
 use catalyze_bench::ablations;
 use catalyze_bench::{DomainResult, Harness, Scale};
+use catalyze_cat::{Domain, RunnerConfig};
+use catalyze_check::study;
 use std::fs;
 use std::path::PathBuf;
 
@@ -72,49 +74,16 @@ fn write_out(opts: &Opts, name: &str, content: &str) {
     }
 }
 
-fn signature_tables(opts: &Opts) {
-    use catalyze::basis;
-    use catalyze::signature;
-    let tables = [
-        (
-            "table1",
-            "Table I: CPU FLOPs Metric Signatures",
-            report::signatures_table(
-                "Table I: CPU FLOPs Metric Signatures",
-                &basis::cpu_flops_basis(),
-                &signature::cpu_flops_signatures(),
-            ),
-        ),
-        (
-            "table2",
-            "Table II: GPU FLOPs Metric Signatures",
-            report::signatures_table(
-                "Table II: GPU FLOPs Metric Signatures",
-                &basis::gpu_flops_basis(),
-                &signature::gpu_flops_signatures(),
-            ),
-        ),
-        (
-            "table3",
-            "Table III: Branching Metric Signatures",
-            report::signatures_table(
-                "Table III: Branching Metric Signatures",
-                &basis::branch_basis(),
-                &signature::branch_signatures(),
-            ),
-        ),
-        (
-            "table4",
-            "Table IV: Data Cache Metric Signatures",
-            report::signatures_table(
-                "Table IV: Data Cache Metric Signatures",
-                &basis::dcache_basis(&Harness::new(Scale::Fast).cache_regions()),
-                &signature::dcache_signatures(),
-            ),
-        ),
-    ];
-    for (key, _title, rendered) in tables {
+fn signature_tables(opts: &Opts, cfg: &RunnerConfig) {
+    for (key, title, domain) in [
+        ("table1", "Table I: CPU FLOPs Metric Signatures", Domain::CpuFlops),
+        ("table2", "Table II: GPU FLOPs Metric Signatures", Domain::GpuFlops),
+        ("table3", "Table III: Branching Metric Signatures", Domain::Branch),
+        ("table4", "Table IV: Data Cache Metric Signatures", Domain::Dcache),
+    ] {
         if opts.command == "all" || opts.command == key {
+            let study = study(domain, cfg);
+            let rendered = report::signatures_table(title, &study.basis, &study.signatures);
             println!("{rendered}");
             write_out(opts, &format!("{key}.txt"), &rendered);
         }
@@ -189,12 +158,12 @@ fn main() {
     let all = cmd == "all";
 
     if one_signature_table(&opts) {
-        signature_tables(&opts);
+        signature_tables(&opts, &h.cfg);
     }
 
     // Lazily run only the domains the command needs.
     if all || matches!(cmd, "table5" | "fig2" | "fig2b" | "select-cpu") {
-        let d = h.cpu_flops().expect("cpu-flops analysis");
+        let d = h.domain(Domain::CpuFlops).expect("cpu-flops analysis");
         if all || cmd == "select-cpu" {
             selection(&opts, "select-cpu", &d);
         }
@@ -206,7 +175,7 @@ fn main() {
         }
     }
     if all || matches!(cmd, "table6" | "fig2" | "fig2c" | "select-gpu") {
-        let d = h.gpu_flops().expect("gpu-flops analysis");
+        let d = h.domain(Domain::GpuFlops).expect("gpu-flops analysis");
         if all || cmd == "select-gpu" {
             selection(&opts, "select-gpu", &d);
         }
@@ -223,7 +192,7 @@ fn main() {
             "table7" | "fig2" | "fig2a" | "select-branch" | "ablate-alpha" | "ablate-tau"
         )
     {
-        let d = h.branch().expect("branch analysis");
+        let d = h.domain(Domain::Branch).expect("branch analysis");
         if all || cmd == "select-branch" {
             selection(&opts, "select-branch", &d);
         }
@@ -269,7 +238,7 @@ fn main() {
     }
     if all || matches!(cmd, "table8" | "fig2d" | "fig2" | "fig3" | "select-cache" | "ablate-pivot")
     {
-        let d = h.dcache().expect("dcache analysis");
+        let d = h.domain(Domain::Dcache).expect("dcache analysis");
         if all || cmd == "select-cache" {
             selection(&opts, "select-cache", &d);
         }
@@ -299,12 +268,12 @@ fn main() {
         }
     }
     if all || matches!(cmd, "dtlb" | "select-dtlb") {
-        let d = h.dtlb().expect("dtlb analysis");
+        let d = h.domain(Domain::Dtlb).expect("dtlb analysis");
         selection(&opts, "select-dtlb", &d);
         metric_table(&opts, "table-dtlb", "Extension: Data-TLB Metrics", &d);
     }
     if all || matches!(cmd, "dstore" | "select-dstore") {
-        let d = h.dstore().expect("dstore analysis");
+        let d = h.domain(Domain::Dstore).expect("dstore analysis");
         selection(&opts, "select-dstore", &d);
         metric_table(&opts, "table-dstore", "Extension: Store-Path (RFO) Metrics", &d);
     }

@@ -13,4 +13,4 @@ pub mod harness;
 pub mod linalg_perf;
 pub mod sim_perf;
 
-pub use harness::{DomainResult, Harness, Scale, DOMAINS};
+pub use harness::{DomainResult, Harness, Scale};

@@ -17,30 +17,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// The cache region a configuration's working set lands in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Region {
-    /// Fits in the L1 data cache.
-    L1,
-    /// Fits in L2 (but not L1).
-    L2,
-    /// Fits in L3 (but not L2).
-    L3,
-    /// Exceeds L3: served from memory.
-    Memory,
-}
-
-impl Region {
-    /// Short label used on figure axes.
-    pub fn label(self) -> &'static str {
-        match self {
-            Region::L1 => "L1",
-            Region::L2 => "L2",
-            Region::L3 => "L3",
-            Region::Memory => "M",
-        }
-    }
-}
+// The sweep reports `catalyze_events::CacheRegion`, the type the bases take;
+// the `Region` name stays because the benchmark package `perfbench/` names it.
+pub use catalyze_events::CacheRegion as Region;
 
 /// Predictor site of the chase loop's back-edge branch.
 const LOOP_SITE: u32 = 7;

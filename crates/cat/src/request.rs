@@ -45,14 +45,15 @@ pub enum Domain {
 }
 
 impl Domain {
-    /// Every domain, in the canonical reporting order.
+    /// Every domain, in reproduction order: the paper's four domains,
+    /// then the two extensions.
     pub const ALL: [Domain; 6] = [
         Domain::CpuFlops,
         Domain::Branch,
         Domain::Dcache,
+        Domain::GpuFlops,
         Domain::Dtlb,
         Domain::Dstore,
-        Domain::GpuFlops,
     ];
 
     /// The measurement-set / CLI label of this domain.

@@ -9,6 +9,10 @@
 //! the same type the repository linter (`cargo xtask lint`) emits — so both
 //! layers render identically, human-readable or as JSON.
 //!
+//! [`study`] is the one description of each domain's analysis inputs
+//! (basis, signatures, stage configuration) that the harness, the CLI and
+//! [`check_shipped`] share.
+//!
 //! Rule namespaces: `B…` basis lints, `C…` catalog/preset lints,
 //! `P…` pipeline-configuration lints (and `R…`, reserved for the repository
 //! linter in `xtask`). Every rule is documented in `DESIGN.md`.
@@ -20,10 +24,10 @@ pub mod basis;
 pub mod config;
 pub mod diag;
 pub mod events;
-pub mod shipped;
+mod shipped;
 
 pub use basis::check_basis;
 pub use config::check_config;
 pub use diag::{Diagnostic, Report, Severity, Span};
 pub use events::{check_catalog, check_preset_file, check_presets};
-pub use shipped::{check_shipped, shipped_domains};
+pub use shipped::{check_shipped, study, Study};

@@ -1,80 +1,105 @@
-//! Runs every lint over the inputs this workspace ships: the six domain
-//! bases (with row counts cross-checked against the benchmark kernel
-//! spaces in `catalyze-cat`), the three simulated event catalogs, and the
-//! six per-domain pipeline configurations.
+//! The inputs this workspace ships, and the lints over them.
 //!
-//! This is what `catalyze check` runs by default, and what CI runs to keep
-//! the shipped configuration honest.
+//! [`study`] is the one map from a benchmark domain to the inputs its
+//! analysis runs on: the expectation basis over the domain's points, the
+//! metric signatures over that basis, and the per-domain pipeline
+//! configuration (paper §III–V). The harness, the CLI and the benchmark
+//! binaries all build their analyses from it.
+//!
+//! [`check_shipped`] runs every lint over those inputs (with basis row
+//! counts cross-checked against the benchmark kernel spaces in
+//! `catalyze-cat`) and over the three simulated event catalogs. This is
+//! what `catalyze check` runs by default, and what CI runs to keep the
+//! shipped configuration honest.
 
 use crate::basis::check_basis;
 use crate::config::check_config;
 use crate::diag::Report;
 use crate::events::check_catalog;
-use catalyze::basis::{self, Basis, CacheRegion};
-use catalyze::pipeline::AnalysisConfig;
-use catalyze_cat::{branch, dcache, dstore, dtlb, flops_cpu, flops_gpu, RunnerConfig};
+use catalyze::basis::{self, Basis};
+use catalyze::pipeline::{AnalysisConfig, AnalysisRequest};
+use catalyze::signature::{self, MetricSignature};
+use catalyze_cat::{branch, dcache, dstore, dtlb, flops_cpu, flops_gpu};
+use catalyze_cat::{Domain, MeasurementSet, RunnerConfig};
 use catalyze_sim::{mi250x_like, sapphire_rapids_like, zen_like};
 
-/// The analysis domains this workspace ships inputs for.
-pub fn shipped_domains() -> Vec<&'static str> {
-    vec!["cpu-flops", "branch", "dcache", "gpu-flops", "dtlb", "dstore"]
+/// One domain's analysis inputs. The fields are public so a caller can
+/// extend the signatures or override a threshold before it analyzes.
+#[derive(Debug, Clone)]
+pub struct Study {
+    /// The benchmark domain.
+    pub domain: Domain,
+    /// The expectation basis over the domain's measurement points.
+    pub basis: Basis,
+    /// The metric signatures defined over that basis.
+    pub signatures: Vec<MetricSignature>,
+    /// The pipeline stage configuration.
+    pub config: AnalysisConfig,
 }
 
-/// The shipped expectation basis for one domain, plus the measurement-point
-/// count its benchmark kernel space declares. Returns `None` for unknown
-/// domains.
-pub fn shipped_basis(domain: &str, cfg: &RunnerConfig) -> Option<(Basis, usize)> {
+impl Study {
+    /// An analysis request over `ms` with this study's domain label, basis,
+    /// signatures and configuration; add an observer and run it.
+    pub fn request<'a>(&'a self, ms: &'a MeasurementSet) -> AnalysisRequest<'a> {
+        AnalysisRequest::new()
+            .domain(self.domain.label())
+            .events(&ms.events)
+            .runs(&ms.runs)
+            .basis(&self.basis)
+            .signatures(&self.signatures)
+            .config(self.config)
+    }
+}
+
+/// The shipped analysis inputs of one domain. The cache and TLB bases
+/// follow `cfg.core`: each point's row comes from the level its working
+/// set lands in on that core.
+pub fn study(domain: Domain, cfg: &RunnerConfig) -> Study {
+    let hierarchy = &cfg.core.hierarchy;
+    let (basis, signatures, config) = match domain {
+        Domain::CpuFlops => (
+            basis::cpu_flops_basis(),
+            signature::cpu_flops_signatures(),
+            AnalysisConfig::cpu_flops(),
+        ),
+        Domain::Branch => {
+            (basis::branch_basis(), signature::branch_signatures(), AnalysisConfig::branch())
+        }
+        Domain::Dcache => (
+            basis::dcache_basis(&dcache::point_regions(hierarchy)),
+            signature::dcache_signatures(),
+            AnalysisConfig::dcache(),
+        ),
+        Domain::GpuFlops => (
+            basis::gpu_flops_basis(),
+            signature::gpu_flops_signatures(),
+            AnalysisConfig::gpu_flops(),
+        ),
+        Domain::Dtlb => (
+            basis::dtlb_basis(&dtlb::point_hit_regions(&cfg.core.tlb)),
+            signature::dtlb_signatures(),
+            AnalysisConfig::dtlb(),
+        ),
+        Domain::Dstore => (
+            basis::dstore_basis(&dstore::point_regions(hierarchy)),
+            signature::dstore_signatures(),
+            AnalysisConfig::dstore(),
+        ),
+    };
+    Study { domain, basis, signatures, config }
+}
+
+/// The measurement-point count a domain's benchmark kernel space declares,
+/// counted from the benchmark side so it cross-checks the basis rows.
+fn kernel_points(domain: Domain, cfg: &RunnerConfig) -> usize {
     match domain {
         // The FLOPs benchmarks run every kernel at 3 vector lengths.
-        "cpu-flops" => Some((basis::cpu_flops_basis(), flops_cpu::kernel_space().len() * 3)),
-        "branch" => Some((basis::branch_basis(), branch::kernel_space().len())),
-        "gpu-flops" => Some((basis::gpu_flops_basis(), flops_gpu::kernel_space().len() * 3)),
-        "dcache" => {
-            let regions: Vec<CacheRegion> =
-                dcache::point_regions(&cfg.core.hierarchy).into_iter().map(cache_region).collect();
-            Some((basis::dcache_basis(&regions), dcache::sweep(&cfg.core.hierarchy).len()))
-        }
-        "dstore" => {
-            let regions: Vec<CacheRegion> =
-                dstore::point_regions(&cfg.core.hierarchy).into_iter().map(store_region).collect();
-            Some((basis::dstore_basis(&regions), dstore::sweep(&cfg.core.hierarchy).len()))
-        }
-        "dtlb" => Some((
-            basis::dtlb_basis(&dtlb::point_hit_regions(&cfg.core.tlb)),
-            dtlb::sweep(&cfg.core.tlb).len(),
-        )),
-        _ => None,
-    }
-}
-
-/// The shipped pipeline configuration for one domain.
-pub fn shipped_config(domain: &str) -> Option<AnalysisConfig> {
-    match domain {
-        "cpu-flops" => Some(AnalysisConfig::cpu_flops()),
-        "branch" => Some(AnalysisConfig::branch()),
-        "dcache" => Some(AnalysisConfig::dcache()),
-        "gpu-flops" => Some(AnalysisConfig::gpu_flops()),
-        "dtlb" => Some(AnalysisConfig::dtlb()),
-        "dstore" => Some(AnalysisConfig::dstore()),
-        _ => None,
-    }
-}
-
-fn cache_region(r: dcache::Region) -> CacheRegion {
-    match r {
-        dcache::Region::L1 => CacheRegion::L1,
-        dcache::Region::L2 => CacheRegion::L2,
-        dcache::Region::L3 => CacheRegion::L3,
-        dcache::Region::Memory => CacheRegion::Memory,
-    }
-}
-
-fn store_region(r: dstore::Region) -> CacheRegion {
-    match r {
-        dstore::Region::L1 => CacheRegion::L1,
-        dstore::Region::L2 => CacheRegion::L2,
-        dstore::Region::L3 => CacheRegion::L3,
-        dstore::Region::Memory => CacheRegion::Memory,
+        Domain::CpuFlops => flops_cpu::kernel_space().len() * 3,
+        Domain::Branch => branch::kernel_space().len(),
+        Domain::GpuFlops => flops_gpu::kernel_space().len() * 3,
+        Domain::Dcache => dcache::sweep(&cfg.core.hierarchy).len(),
+        Domain::Dstore => dstore::sweep(&cfg.core.hierarchy).len(),
+        Domain::Dtlb => dtlb::sweep(&cfg.core.tlb).len(),
     }
 }
 
@@ -84,13 +109,10 @@ pub fn check_shipped() -> Report {
     let cfg = RunnerConfig::default_sim();
     let mut report = Report::new();
 
-    for domain in shipped_domains() {
-        if let Some((basis, expected_rows)) = shipped_basis(domain, &cfg) {
-            report.extend(check_basis(domain, &basis, Some(expected_rows)));
-        }
-        if let Some(acfg) = shipped_config(domain) {
-            report.extend(check_config(domain, &acfg));
-        }
+    for domain in Domain::ALL {
+        let Study { basis, config, .. } = study(domain, &cfg);
+        report.extend(check_basis(domain.label(), &basis, Some(kernel_points(domain, &cfg))));
+        report.extend(check_config(domain.label(), &config));
     }
 
     report.extend(check_catalog("spr", sapphire_rapids_like().catalog()));
@@ -103,6 +125,22 @@ pub fn check_shipped() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catalyze_sim::cache::CacheConfig;
+    use catalyze_sim::hierarchy::HierarchyConfig;
+    use catalyze_sim::tlb::TlbConfig;
+
+    /// A core whose caches and TLB differ from the stock geometry.
+    fn non_stock() -> RunnerConfig {
+        let mut cfg = RunnerConfig::default_sim();
+        cfg.core.hierarchy = HierarchyConfig {
+            l1: CacheConfig::new(16 * 1024, 64, 8),
+            l2: CacheConfig::new(128 * 1024, 64, 8),
+            l3: CacheConfig::new(1024 * 1024, 64, 16),
+            prefetch_next_line: false,
+        };
+        cfg.core.tlb = TlbConfig { entries: 32, associativity: 4, page_bytes: 8192 };
+        cfg
+    }
 
     #[test]
     fn shipped_inputs_have_no_errors() {
@@ -113,19 +151,26 @@ mod tests {
     #[test]
     fn every_domain_has_basis_and_config() {
         let cfg = RunnerConfig::default_sim();
-        for domain in shipped_domains() {
-            assert!(shipped_basis(domain, &cfg).is_some(), "{domain} basis");
-            assert!(shipped_config(domain).is_some(), "{domain} config");
+        for domain in Domain::ALL {
+            let s = study(domain, &cfg);
+            assert_eq!(s.domain, domain);
+            assert!(!s.signatures.is_empty(), "{domain} signatures");
+            for sig in &s.signatures {
+                assert_eq!(sig.coefficients.len(), s.basis.dim(), "{domain}: {}", sig.name);
+            }
         }
-        assert!(shipped_basis("nope", &cfg).is_none());
     }
 
     #[test]
     fn basis_rows_match_kernel_spaces() {
-        let cfg = RunnerConfig::default_sim();
-        for domain in shipped_domains() {
-            let (basis, expected) = shipped_basis(domain, &cfg).expect("known domain");
-            assert_eq!(basis.matrix.rows(), expected, "{domain}");
+        for cfg in [RunnerConfig::default_sim(), non_stock()] {
+            for domain in Domain::ALL {
+                let s = study(domain, &cfg);
+                let points = kernel_points(domain, &cfg);
+                assert_eq!(s.basis.matrix.rows(), points, "{domain}");
+                let ds = check_basis(domain.label(), &s.basis, Some(points));
+                assert!(ds.is_empty(), "{domain} on {:?}: {ds:?}", cfg.core.hierarchy.l1);
+            }
         }
     }
 }

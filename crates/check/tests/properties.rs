@@ -2,16 +2,15 @@
 //! injected corruptions trigger exactly the rule written for them.
 
 use catalyze::basis::Basis;
-use catalyze_cat::RunnerConfig;
-use catalyze_check::shipped::{shipped_basis, shipped_domains};
-use catalyze_check::{check_basis, check_preset_file, check_presets, Severity};
+use catalyze_cat::{Domain, RunnerConfig};
+use catalyze_check::{check_basis, check_preset_file, check_presets, study, Severity};
 use catalyze_events::{
     EventCatalog, EventDomain, EventInfo, EventName, Preset, PresetTable, PresetTerm,
 };
 use proptest::prelude::*;
 
-fn domain_strategy() -> impl Strategy<Value = &'static str> {
-    (0..6usize).prop_map(|i| shipped_domains()[i])
+fn domain_strategy() -> impl Strategy<Value = Domain> {
+    (0..6usize).prop_map(|i| Domain::ALL[i])
 }
 
 fn rules(ds: &[catalyze_check::Diagnostic]) -> Vec<String> {
@@ -20,12 +19,12 @@ fn rules(ds: &[catalyze_check::Diagnostic]) -> Vec<String> {
 
 proptest! {
     /// Every shipped basis passes the basis lints with zero errors, for
-    /// every domain.
+    /// every domain. (`check_shipped` cross-checks the row counts against
+    /// the benchmark kernel spaces.)
     #[test]
     fn shipped_bases_produce_zero_errors(domain in domain_strategy()) {
-        let cfg = RunnerConfig::default_sim();
-        let (basis, expected_rows) = shipped_basis(domain, &cfg).expect("shipped domain");
-        let ds = check_basis(domain, &basis, Some(expected_rows));
+        let basis = study(domain, &RunnerConfig::default_sim()).basis;
+        let ds = check_basis(domain.label(), &basis, None);
         let errors: Vec<_> = ds.iter().filter(|d| d.severity == Severity::Error).collect();
         prop_assert!(errors.is_empty(), "{domain}: {errors:?}");
     }
@@ -34,8 +33,7 @@ proptest! {
     /// columns) — the corruption is caught no matter which column.
     #[test]
     fn duplicated_column_is_caught(domain in domain_strategy(), pick in 0.0f64..1.0) {
-        let cfg = RunnerConfig::default_sim();
-        let (basis, _) = shipped_basis(domain, &cfg).expect("shipped domain");
+        let basis = study(domain, &RunnerConfig::default_sim()).basis;
         let dim = basis.matrix.cols();
         let src = ((pick * dim as f64) as usize).min(dim - 1);
         // Overwrite a different column with a copy of `src`.
@@ -46,7 +44,7 @@ proptest! {
             labels: basis.labels.clone(),
             matrix: catalyze_linalg::Matrix::from_columns(&cols).expect("same shape"),
         };
-        let ds = check_basis(domain, &corrupted, None);
+        let ds = check_basis(domain.label(), &corrupted, None);
         prop_assert!(rules(&ds).contains(&"B005".to_string()), "{domain} src={src}: {ds:?}");
     }
 
@@ -54,8 +52,7 @@ proptest! {
     /// and triggers B006.
     #[test]
     fn dropped_row_is_caught(domain in domain_strategy(), pick in 0.0f64..1.0) {
-        let cfg = RunnerConfig::default_sim();
-        let (basis, expected_rows) = shipped_basis(domain, &cfg).expect("shipped domain");
+        let basis = study(domain, &RunnerConfig::default_sim()).basis;
         let rows = basis.matrix.rows();
         let drop = ((pick * rows as f64) as usize).min(rows - 1);
         let cols: Vec<Vec<f64>> = (0..basis.matrix.cols())
@@ -74,7 +71,7 @@ proptest! {
             labels: basis.labels.clone(),
             matrix: catalyze_linalg::Matrix::from_columns(&cols).expect("same shape"),
         };
-        let ds = check_basis(domain, &corrupted, Some(expected_rows));
+        let ds = check_basis(domain.label(), &corrupted, Some(rows));
         prop_assert!(rules(&ds).contains(&"B006".to_string()), "{domain} drop={drop}: {ds:?}");
     }
 

@@ -36,11 +36,9 @@
 
 #![forbid(unsafe_code)]
 
-use catalyze::basis::{self, Basis, CacheRegion};
-use catalyze::pipeline::{AnalysisConfig, AnalysisReport, AnalysisRequest};
+use catalyze::pipeline::{AnalysisConfig, AnalysisReport};
 use catalyze::report;
-use catalyze::signature::{self, MetricSignature};
-use catalyze_cat::{dcache, dstore, dtlb, Domain, MeasurementSet, RunnerConfig, SimRequest};
+use catalyze_cat::{Domain, MeasurementSet, RunnerConfig, SimRequest};
 use catalyze_events::PresetTable;
 use catalyze_obs::{
     diff, render_exposition, render_metrics_json, DiffConfig, MetricsRegistry, NoopObserver,
@@ -48,8 +46,6 @@ use catalyze_obs::{
 };
 use catalyze_sim::{mi250x_like, sapphire_rapids_like, zen_like, CpuEventSet};
 use std::process::ExitCode;
-
-const DOMAINS: [&str; 6] = ["cpu-flops", "branch", "dcache", "gpu-flops", "dtlb", "dstore"];
 
 fn usage() -> ExitCode {
     eprintln!("usage: catalyze <events|run|analyze|metrics|presets|trace> [args]");
@@ -65,7 +61,8 @@ fn usage() -> ExitCode {
     eprintln!("  catalyze presets <domain> [--json] [--set key=value ...]");
     eprintln!("  catalyze papi <domain>");
     eprintln!("  catalyze check [--format human|json|sarif] [--presets FILE [--arch spr|zen|gpu]]");
-    eprintln!("domains: {}", DOMAINS.join(", "));
+    let domains: Vec<&str> = Domain::ALL.iter().map(|d| d.label()).collect();
+    eprintln!("domains: {}", domains.join(", "));
     eprintln!("threshold keys for --set: {}", AnalysisConfig::keys().join(", "));
     eprintln!("diff keys for --set: {}", DiffConfig::keys().join(", "));
     ExitCode::from(2)
@@ -82,99 +79,47 @@ fn cpu_inventory(args: &[String]) -> CpuEventSet {
     }
 }
 
+/// The domain a subcommand names in its first argument. `None` when the
+/// argument is missing, or names no domain (reported on stderr).
+fn domain_arg(args: &[String]) -> Option<Domain> {
+    let name = args.get(1)?;
+    let domain = Domain::parse(name);
+    if domain.is_none() {
+        eprintln!("unknown domain {name}");
+    }
+    domain
+}
+
 fn run_domain(
-    domain: &str,
+    domain: Domain,
     cfg: &RunnerConfig,
     cpu: &CpuEventSet,
     obs: &dyn Observer,
-) -> Option<MeasurementSet> {
-    let parsed = Domain::parse(domain)?;
-    let request = SimRequest::new().domain(parsed).config(cfg).observer(obs);
+) -> MeasurementSet {
+    let request = SimRequest::new().domain(domain).config(cfg).observer(obs);
     let gpu_events;
-    let request = if parsed.is_gpu() {
+    let request = if domain.is_gpu() {
         gpu_events = mi250x_like(cfg.gpu_devices);
         request.gpu_events(&gpu_events)
     } else {
         request.events(cpu)
     };
-    match request.run() {
-        Ok(ms) => Some(ms),
-        Err(e) => {
-            eprintln!("run {domain}: {e}");
-            None
-        }
-    }
-}
-
-fn domain_analysis_inputs(
-    domain: &str,
-    cfg: &RunnerConfig,
-) -> Option<(Basis, Vec<MetricSignature>, AnalysisConfig)> {
-    match domain {
-        "cpu-flops" => Some((
-            basis::cpu_flops_basis(),
-            signature::cpu_flops_signatures(),
-            AnalysisConfig::cpu_flops(),
-        )),
-        "branch" => {
-            Some((basis::branch_basis(), signature::branch_signatures(), AnalysisConfig::branch()))
-        }
-        "dcache" => {
-            let regions: Vec<CacheRegion> = dcache::point_regions(&cfg.core.hierarchy)
-                .into_iter()
-                .map(|r| match r {
-                    dcache::Region::L1 => CacheRegion::L1,
-                    dcache::Region::L2 => CacheRegion::L2,
-                    dcache::Region::L3 => CacheRegion::L3,
-                    dcache::Region::Memory => CacheRegion::Memory,
-                })
-                .collect();
-            Some((
-                basis::dcache_basis(&regions),
-                signature::dcache_signatures(),
-                AnalysisConfig::dcache(),
-            ))
-        }
-        "gpu-flops" => Some((
-            basis::gpu_flops_basis(),
-            signature::gpu_flops_signatures(),
-            AnalysisConfig::gpu_flops(),
-        )),
-        "dtlb" => Some((
-            basis::dtlb_basis(&dtlb::point_hit_regions(&cfg.core.tlb)),
-            signature::dtlb_signatures(),
-            AnalysisConfig::dtlb(),
-        )),
-        "dstore" => {
-            let regions: Vec<CacheRegion> = dstore::point_regions(&cfg.core.hierarchy)
-                .into_iter()
-                .map(|r| match r {
-                    dstore::Region::L1 => CacheRegion::L1,
-                    dstore::Region::L2 => CacheRegion::L2,
-                    dstore::Region::L3 => CacheRegion::L3,
-                    dstore::Region::Memory => CacheRegion::Memory,
-                })
-                .collect();
-            Some((
-                basis::dstore_basis(&regions),
-                signature::dstore_signatures(),
-                AnalysisConfig::dstore(),
-            ))
-        }
-        _ => None,
-    }
+    request.run().unwrap_or_else(|e| {
+        eprintln!("run {domain}: {e}");
+        std::process::exit(1);
+    })
 }
 
 fn analyze_domain(
-    domain: &str,
+    domain: Domain,
     ms: &MeasurementSet,
     cfg: &RunnerConfig,
     overrides: &[(String, f64)],
     obs: &dyn Observer,
-) -> Option<AnalysisReport> {
-    let (basis, signatures, mut acfg) = domain_analysis_inputs(domain, cfg)?;
+) -> AnalysisReport {
+    let mut study = catalyze_check::study(domain, cfg);
     for (key, value) in overrides {
-        if !acfg.set(key, *value) {
+        if !study.config.set(key, *value) {
             eprintln!(
                 "unknown threshold key {key} (expected one of: {})",
                 AnalysisConfig::keys().join(", ")
@@ -182,21 +127,10 @@ fn analyze_domain(
             std::process::exit(2);
         }
     }
-    let request = AnalysisRequest::new()
-        .domain(domain)
-        .events(&ms.events)
-        .runs(&ms.runs)
-        .basis(&basis)
-        .signatures(&signatures)
-        .config(acfg)
-        .observer(obs);
-    match request.run() {
-        Ok(report) => Some(report),
-        Err(e) => {
-            eprintln!("analysis failed for {domain}: {e}");
-            std::process::exit(1);
-        }
-    }
+    study.request(ms).observer(obs).run().unwrap_or_else(|e| {
+        eprintln!("analysis failed for {domain}: {e}");
+        std::process::exit(1);
+    })
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -306,14 +240,11 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "run" => {
-            let Some(domain) = args.get(1) else { return usage() };
+            let Some(domain) = domain_arg(&args) else { return usage() };
             let trace_to = trace_request(&args);
             let trace = TraceCollector::new();
             let obs: &dyn Observer = if trace_to.is_some() { &trace } else { &NoopObserver };
-            let Some(ms) = run_domain(domain, &cfg, &cpu_inventory(&args), obs) else {
-                eprintln!("unknown domain {domain}");
-                return usage();
-            };
+            let ms = run_domain(domain, &cfg, &cpu_inventory(&args), obs);
             eprintln!(
                 "measured {} events over {} points, {} repetitions",
                 ms.num_events(),
@@ -336,11 +267,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "analyze" => {
-            let Some(domain) = args.get(1) else { return usage() };
-            if !DOMAINS.contains(&domain.as_str()) {
-                eprintln!("unknown domain {domain}");
-                return usage();
-            }
+            let Some(domain) = domain_arg(&args) else { return usage() };
             let trace_to = trace_request(&args);
             let metrics_to = optional_file_flag(&args, "--metrics");
             let trace = TraceCollector::new();
@@ -354,12 +281,10 @@ fn main() -> ExitCode {
                     ms.validate().expect("consistent measurement file");
                     ms
                 }
-                None => run_domain(domain, &cfg, &cpu_inventory(&args), obs)
-                    .expect("domain checked above"),
+                None => run_domain(domain, &cfg, &cpu_inventory(&args), obs),
             };
             let overrides = parse_overrides(&args);
-            let analysis =
-                analyze_domain(domain, &ms, &cfg, &overrides, obs).expect("known domain");
+            let analysis = analyze_domain(domain, &ms, &cfg, &overrides, obs);
             print!("{}", report::noise_summary(&analysis.noise));
             println!();
             print!("{}", report::selection_table(&analysis));
@@ -376,11 +301,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "metrics" => {
-            let Some(domain) = args.get(1) else { return usage() };
-            if !DOMAINS.contains(&domain.as_str()) {
-                eprintln!("unknown domain {domain}");
-                return usage();
-            }
+            let Some(domain) = domain_arg(&args) else { return usage() };
             let repeat = match flag_value(&args, "--repeat") {
                 Some(raw) => match raw.parse::<u32>() {
                     Ok(n) if n >= 1 => n,
@@ -397,8 +318,8 @@ fn main() -> ExitCode {
             for _ in 0..repeat {
                 let trace = TraceCollector::new();
                 let obs: &dyn Observer = &trace;
-                let ms = run_domain(domain, &cfg, &cpu, obs).expect("domain checked above");
-                analyze_domain(domain, &ms, &cfg, &overrides, obs).expect("known domain");
+                let ms = run_domain(domain, &cfg, &cpu, obs);
+                analyze_domain(domain, &ms, &cfg, &overrides, obs);
                 reg.fold(&trace);
             }
             if let Some(path) = flag_value(&args, "--json") {
@@ -458,14 +379,10 @@ fn main() -> ExitCode {
             }
         }
         "presets" => {
-            let Some(domain) = args.get(1) else { return usage() };
-            let Some(ms) = run_domain(domain, &cfg, &cpu_inventory(&args), &NoopObserver) else {
-                eprintln!("unknown domain {domain}");
-                return usage();
-            };
+            let Some(domain) = domain_arg(&args) else { return usage() };
+            let ms = run_domain(domain, &cfg, &cpu_inventory(&args), &NoopObserver);
             let overrides = parse_overrides(&args);
-            let analysis =
-                analyze_domain(domain, &ms, &cfg, &overrides, &NoopObserver).expect("known domain");
+            let analysis = analyze_domain(domain, &ms, &cfg, &overrides, &NoopObserver);
             let table = PresetTable {
                 title: format!("{domain} presets"),
                 presets: analysis.composable_metrics().iter().map(|m| m.to_preset(1e-6)).collect(),
@@ -480,13 +397,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "papi" => {
-            let Some(domain) = args.get(1) else { return usage() };
-            let Some(ms) = run_domain(domain, &cfg, &cpu_inventory(&args), &NoopObserver) else {
-                eprintln!("unknown domain {domain}");
-                return usage();
-            };
-            let analysis =
-                analyze_domain(domain, &ms, &cfg, &[], &NoopObserver).expect("known domain");
+            let Some(domain) = domain_arg(&args) else { return usage() };
+            let ms = run_domain(domain, &cfg, &cpu_inventory(&args), &NoopObserver);
+            let analysis = analyze_domain(domain, &ms, &cfg, &[], &NoopObserver);
             let table = PresetTable {
                 title: format!("{domain} presets (auto-generated by catalyze)"),
                 presets: analysis.composable_metrics().iter().map(|m| m.to_preset(1e-6)).collect(),

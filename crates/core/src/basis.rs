@@ -14,20 +14,9 @@
 use catalyze_linalg::Matrix;
 use serde::{Deserialize, Serialize};
 
-/// The cache region of one pointer-chase point (mirrors
-/// `catalyze_cat::dcache::Region` structurally; kept separate so the
-/// analysis crate does not depend on the benchmarks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CacheRegion {
-    /// Working set fits in L1.
-    L1,
-    /// Fits in L2, not L1.
-    L2,
-    /// Fits in L3, not L2.
-    L3,
-    /// Exceeds L3.
-    Memory,
-}
+// The region type lives in `catalyze-events`; this path stays because the
+// benchmark package `perfbench/` names it.
+pub use catalyze_events::CacheRegion;
 
 /// An expectation basis: labeled columns over a benchmark's points.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -4,11 +4,9 @@
 //! cache events' noise, and coefficient rounding recovers exact signature
 //! behavior.
 
-use catalyze::basis::{dcache_basis, CacheRegion};
-use catalyze::pipeline::{AnalysisConfig, AnalysisRequest};
 use catalyze::report;
-use catalyze::signature::dcache_signatures;
 use catalyze_cat::{dcache, Domain, RunnerConfig, SimRequest};
+use catalyze_check::study;
 use catalyze_sim::sapphire_rapids_like;
 
 fn main() {
@@ -34,27 +32,10 @@ fn main() {
         .run()
         .expect("valid request");
 
-    let regions: Vec<CacheRegion> = dcache::point_regions(&hier)
-        .into_iter()
-        .map(|r| match r {
-            dcache::Region::L1 => CacheRegion::L1,
-            dcache::Region::L2 => CacheRegion::L2,
-            dcache::Region::L3 => CacheRegion::L3,
-            dcache::Region::Memory => CacheRegion::Memory,
-        })
-        .collect();
-    let basis = dcache_basis(&regions);
-
-    let signatures = dcache_signatures();
-    let analysis = AnalysisRequest::new()
-        .domain("dcache")
-        .events(&ms.events)
-        .runs(&ms.runs)
-        .basis(&basis)
-        .signatures(&signatures)
-        .config(AnalysisConfig::dcache())
-        .run()
-        .expect("simulated measurements analyze cleanly");
+    // The expectation basis follows the core: each point's row comes from
+    // the level its footprint lands in on this hierarchy.
+    let study = study(Domain::Dcache, &cfg);
+    let analysis = study.request(&ms).run().expect("simulated measurements analyze cleanly");
 
     print!("{}", report::noise_summary(&analysis.noise));
     println!();
@@ -64,8 +45,8 @@ fn main() {
 
     // Figure-3-style data: signature vs measured combination per point.
     println!("\n== L1 Hits curve (paper Fig. 3a) ==");
-    let sig = &dcache_signatures()[1]; // L1 Hits
-    print!("{}", report::figure3_data(&analysis, &basis, sig, &ms.point_labels));
+    let sig = &study.signatures[1]; // L1 Hits
+    print!("{}", report::figure3_data(&analysis, &study.basis, sig, &ms.point_labels));
 
     println!("\nCoefficients are within a few percent of 0/1 (noise) and round");
     println!("to combinations that match the signatures exactly — §VI.D.");

@@ -4,11 +4,9 @@
 //! operation metrics — including the discovery that FMA-only metrics are
 //! *not* composable on this (Sapphire-Rapids-like) machine.
 
-use catalyze::basis::cpu_flops_basis;
-use catalyze::pipeline::{AnalysisConfig, AnalysisRequest};
 use catalyze::report;
-use catalyze::signature::cpu_flops_signatures;
 use catalyze_cat::{Domain, RunnerConfig, SimRequest};
+use catalyze_check::study;
 use catalyze_sim::sapphire_rapids_like;
 
 fn main() {
@@ -23,15 +21,8 @@ fn main() {
         .run()
         .expect("valid request");
 
-    let basis = cpu_flops_basis();
-    let signatures = cpu_flops_signatures();
-    let analysis = AnalysisRequest::new()
-        .domain("cpu-flops")
-        .events(&ms.events)
-        .runs(&ms.runs)
-        .basis(&basis)
-        .signatures(&signatures)
-        .config(AnalysisConfig::cpu_flops())
+    let analysis = study(Domain::CpuFlops, &cfg)
+        .request(&ms)
         .run()
         .expect("simulated measurements analyze cleanly");
 

@@ -7,10 +7,8 @@
 //! that found "DP FMA Instrs." non-composable on the SPR-like machine now
 //! composes it exactly.
 
-use catalyze::basis::cpu_flops_basis;
-use catalyze::pipeline::{AnalysisConfig, AnalysisRequest};
-use catalyze::signature::cpu_flops_signatures;
 use catalyze_cat::{Domain, RunnerConfig, SimRequest};
+use catalyze_check::study;
 use catalyze_events::EventName;
 use catalyze_sim::cpu::ExecStats;
 use catalyze_sim::{sapphire_rapids_like, FpKind, Precision, VecWidth};
@@ -56,15 +54,8 @@ fn main() {
         }
     }
 
-    let basis = cpu_flops_basis();
-    let signatures = cpu_flops_signatures();
-    let analysis = AnalysisRequest::new()
-        .domain("cpu-flops (custom arch with FMA counters)")
-        .events(&ms.events)
-        .runs(&ms.runs)
-        .basis(&basis)
-        .signatures(&signatures)
-        .config(AnalysisConfig::cpu_flops())
+    let analysis = study(Domain::CpuFlops, &cfg)
+        .request(&ms)
         .run()
         .expect("simulated measurements analyze cleanly");
 

@@ -3,11 +3,9 @@
 //! additions and subtractions, so "HP Add" alone is not composable but
 //! "HP Add and Sub" is.
 
-use catalyze::basis::gpu_flops_basis;
-use catalyze::pipeline::{AnalysisConfig, AnalysisRequest};
 use catalyze::report;
-use catalyze::signature::gpu_flops_signatures;
 use catalyze_cat::{Domain, RunnerConfig, SimRequest};
+use catalyze_check::study;
 use catalyze_sim::mi250x_like;
 
 fn main() {
@@ -24,15 +22,8 @@ fn main() {
         .run()
         .expect("valid request");
 
-    let basis = gpu_flops_basis();
-    let signatures = gpu_flops_signatures();
-    let analysis = AnalysisRequest::new()
-        .domain("gpu-flops")
-        .events(&ms.events)
-        .runs(&ms.runs)
-        .basis(&basis)
-        .signatures(&signatures)
-        .config(AnalysisConfig::gpu_flops())
+    let analysis = study(Domain::GpuFlops, &cfg)
+        .request(&ms)
         .run()
         .expect("simulated measurements analyze cleanly");
 

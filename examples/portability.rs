@@ -9,31 +9,24 @@
 //!   not; and its branch family lacks a taken-conditional event, so that
 //!   metric needs a three-event combination.
 
-use catalyze::basis;
-use catalyze::pipeline::{AnalysisConfig, AnalysisReport, AnalysisRequest};
+use catalyze::pipeline::AnalysisReport;
 use catalyze::signature;
-use catalyze_cat::{Domain, RunnerConfig, SimRequest};
+use catalyze_bench::{Harness, Scale};
+use catalyze_cat::Domain;
+use catalyze_check::study;
+use catalyze_obs::NoopObserver;
 use catalyze_sim::{sapphire_rapids_like, zen_like, CpuEventSet};
 
-fn flops_report(set: &CpuEventSet, label: &str, cfg: &RunnerConfig) -> AnalysisReport {
-    let ms = SimRequest::new()
-        .domain(Domain::CpuFlops)
-        .events(set)
-        .config(cfg)
-        .run()
-        .expect("valid request");
-    let mut signatures = signature::cpu_flops_signatures();
-    signatures.push(signature::all_fp_ops_signature());
-    let basis = basis::cpu_flops_basis();
-    AnalysisRequest::new()
-        .domain(label)
-        .events(&ms.events)
-        .runs(&ms.runs)
-        .basis(&basis)
-        .signatures(&signatures)
-        .config(AnalysisConfig::cpu_flops())
-        .run()
-        .expect("simulated measurements analyze cleanly")
+/// Runs one domain at paper scale on a machine with the given events. The
+/// CPU-FLOPs study also asks for the precision-agnostic total.
+fn report(cpu_events: CpuEventSet, domain: Domain) -> AnalysisReport {
+    let h = Harness { cpu_events, ..Harness::new(Scale::Full) };
+    let ms = h.measure(domain, &NoopObserver).expect("valid request");
+    let mut study = study(domain, &h.cfg);
+    if domain == Domain::CpuFlops {
+        study.signatures.push(signature::all_fp_ops_signature());
+    }
+    study.request(&ms).run().expect("simulated measurements analyze cleanly")
 }
 
 fn verdict(r: &AnalysisReport, metric: &str) -> String {
@@ -46,13 +39,9 @@ fn verdict(r: &AnalysisReport, metric: &str) -> String {
 }
 
 fn main() {
-    let cfg = RunnerConfig::default_sim();
-    let spr = sapphire_rapids_like();
-    let zen = zen_like();
-
     println!("running the identical CPU-FLOPs benchmark on two machines...\n");
-    let spr_report = flops_report(&spr, "spr", &cfg);
-    let zen_report = flops_report(&zen, "zen", &cfg);
+    let spr_report = report(sapphire_rapids_like(), Domain::CpuFlops);
+    let zen_report = report(zen_like(), Domain::CpuFlops);
 
     println!("{:<18} {:<28} {:<28}", "metric", "SPR-like", "Zen-like");
     for metric in ["SP Ops.", "DP Ops.", "SP FMA Instrs.", "DP FMA Instrs.", "All FP Ops."] {
@@ -69,26 +58,8 @@ fn main() {
     println!("  Zen-like: {:?}", zen_report.selection.names());
 
     println!("\nbranching: the same metric, different raw-event combinations --");
-    let branch = |set: &CpuEventSet, label: &str| {
-        let ms = SimRequest::new()
-            .domain(Domain::Branch)
-            .events(set)
-            .config(&cfg)
-            .run()
-            .expect("valid request");
-        let basis = basis::branch_basis();
-        let signatures = signature::branch_signatures();
-        AnalysisRequest::new()
-            .domain(label)
-            .events(&ms.events)
-            .runs(&ms.runs)
-            .basis(&basis)
-            .signatures(&signatures)
-            .config(AnalysisConfig::branch())
-            .run()
-            .expect("simulated measurements analyze cleanly")
-    };
-    for (label, report) in [("SPR-like", branch(&spr, "spr")), ("Zen-like", branch(&zen, "zen"))] {
+    for (label, events) in [("SPR-like", sapphire_rapids_like()), ("Zen-like", zen_like())] {
+        let report = report(events, Domain::Branch);
         let taken = report.metric("Conditional Branches Taken").unwrap();
         let combo: Vec<String> = taken
             .events

@@ -5,11 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use catalyze::basis::branch_basis;
-use catalyze::pipeline::{AnalysisConfig, AnalysisRequest};
 use catalyze::report;
-use catalyze::signature::branch_signatures;
 use catalyze_cat::{Domain, RunnerConfig, SimRequest};
+use catalyze_check::study;
 use catalyze_sim::sapphire_rapids_like;
 
 fn main() {
@@ -34,16 +32,10 @@ fn main() {
     );
 
     // 3. Analyze: noise filter -> expectation basis -> specialized QRCP ->
-    //    least-squares metric definitions.
-    let basis = branch_basis();
-    let signatures = branch_signatures();
-    let analysis = AnalysisRequest::new()
-        .domain("branch")
-        .events(&measurements.events)
-        .runs(&measurements.runs)
-        .basis(&basis)
-        .signatures(&signatures)
-        .config(AnalysisConfig::branch())
+    //    least-squares metric definitions. The domain's study supplies the
+    //    expectation basis, the metric signatures and the thresholds.
+    let analysis = study(Domain::Branch, &cfg)
+        .request(&measurements)
         .run()
         .expect("simulated measurements analyze cleanly");
 

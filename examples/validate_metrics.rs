@@ -4,13 +4,13 @@
 //! the strongest evidence the definitions are semantically right.
 
 use catalyze_bench::{Harness, Scale};
-use catalyze_cat::validate_presets;
+use catalyze_cat::{validate_presets, Domain};
 
 fn main() {
     let h = Harness::new(Scale::Full);
 
-    for domain in ["cpu-flops", "branch", "dcache"] {
-        let d = h.domain(domain).expect("known domain").expect("domain analyzes");
+    for domain in [Domain::CpuFlops, Domain::Branch, Domain::Dcache] {
+        let d = h.domain(domain).expect("domain analyzes");
         let presets: Vec<_> =
             d.analysis.composable_metrics().iter().map(|m| m.to_preset(1e-6)).collect();
         println!("== {domain}: validating {} composable metrics ==", presets.len());

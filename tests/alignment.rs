@@ -61,20 +61,9 @@ fn gpu_sizes_match_basis_constants() {
 
 #[test]
 fn dcache_regions_produce_full_rank_basis() {
-    use catalyze::basis::CacheRegion;
-    use catalyze_sim::hierarchy::HierarchyConfig;
-    let h = HierarchyConfig::default_sim();
-    let regions: Vec<CacheRegion> = catalyze_cat::dcache::point_regions(&h)
-        .into_iter()
-        .map(|r| match r {
-            catalyze_cat::dcache::Region::L1 => CacheRegion::L1,
-            catalyze_cat::dcache::Region::L2 => CacheRegion::L2,
-            catalyze_cat::dcache::Region::L3 => CacheRegion::L3,
-            catalyze_cat::dcache::Region::Memory => CacheRegion::Memory,
-        })
-        .collect();
-    let b = basis::dcache_basis(&regions);
-    assert_eq!(b.points(), regions.len());
+    let cfg = catalyze_cat::RunnerConfig::default_sim();
+    let b = catalyze_check::study(catalyze_cat::Domain::Dcache, &cfg).basis;
+    assert_eq!(b.points(), catalyze_cat::dcache::sweep(&cfg.core.hierarchy).len());
     let svd = catalyze_linalg::singular_values(&b.matrix).unwrap();
     assert_eq!(svd.rank(1e-10), 4, "all four cache expectations must be independent");
 }

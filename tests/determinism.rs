@@ -2,11 +2,11 @@
 //! measurement and every analysis artifact bit-for-bit — the property that
 //! makes the `repro` harness trustworthy.
 
-use catalyze::basis;
-use catalyze::pipeline::{AnalysisConfig, AnalysisRequest};
-use catalyze::signature;
-use catalyze_cat::{Domain, MeasurementSet, RunnerConfig, SimRequest};
-use catalyze_sim::{mi250x_like, sapphire_rapids_like, CpuEventSet, GpuEventSet};
+use catalyze_bench::{Harness, Scale};
+use catalyze_cat::{Domain, RunnerConfig, SimRequest};
+use catalyze_check::study;
+use catalyze_obs::NoopObserver;
+use catalyze_sim::{mi250x_like, sapphire_rapids_like};
 
 fn cfg() -> RunnerConfig {
     let mut c = RunnerConfig::fast_test();
@@ -15,50 +15,34 @@ fn cfg() -> RunnerConfig {
     c
 }
 
-/// Runs one CPU domain through the public entry point.
-fn measure(domain: Domain, set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
-    SimRequest::new().domain(domain).events(set).config(cfg).run().expect("valid request")
-}
-
-/// Runs the GPU-FLOPs domain through the public entry point.
-fn measure_gpu(set: &GpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
-    let request = SimRequest::new().domain(Domain::GpuFlops).gpu_events(set).config(cfg);
-    request.run().expect("valid request")
+fn assert_reproducible(domain: Domain) {
+    let h = Harness { cfg: cfg(), ..Harness::new(Scale::Fast) };
+    let a = h.measure(domain, &NoopObserver).unwrap();
+    assert_eq!(a, h.measure(domain, &NoopObserver).unwrap());
 }
 
 #[test]
 fn branch_measurements_bitwise_reproducible() {
-    let set = sapphire_rapids_like();
-    let a = measure(Domain::Branch, &set, &cfg());
-    let b = measure(Domain::Branch, &set, &cfg());
-    assert_eq!(a, b);
+    assert_reproducible(Domain::Branch);
 }
 
 #[test]
 fn cpu_flops_measurements_bitwise_reproducible() {
-    let set = sapphire_rapids_like();
-    let a = measure(Domain::CpuFlops, &set, &cfg());
-    let b = measure(Domain::CpuFlops, &set, &cfg());
-    assert_eq!(a, b);
+    assert_reproducible(Domain::CpuFlops);
 }
 
 #[test]
 fn gpu_measurements_bitwise_reproducible() {
-    let set = mi250x_like(2);
-    let a = measure_gpu(&set, &cfg());
-    let b = measure_gpu(&set, &cfg());
-    assert_eq!(a, b);
+    assert_reproducible(Domain::GpuFlops);
 }
 
 #[test]
 fn different_pmu_seed_changes_noisy_reads_only() {
-    let set = sapphire_rapids_like();
-    let mut c1 = cfg();
-    let mut c2 = cfg();
-    c1.pmu.seed = 1;
-    c2.pmu.seed = 2;
-    let a = measure(Domain::Branch, &set, &c1);
-    let b = measure(Domain::Branch, &set, &c2);
+    let mut h = Harness { cfg: cfg(), ..Harness::new(Scale::Fast) };
+    h.cfg.pmu.seed = 1;
+    let a = h.measure(Domain::Branch, &NoopObserver).unwrap();
+    h.cfg.pmu.seed = 2;
+    let b = h.measure(Domain::Branch, &NoopObserver).unwrap();
     // Architectural counters identical...
     let cond = a.event_index("BR_INST_RETIRED:COND").unwrap();
     assert_eq!(a.runs[0][cond], b.runs[0][cond]);
@@ -69,23 +53,11 @@ fn different_pmu_seed_changes_noisy_reads_only() {
 
 #[test]
 fn analysis_is_a_pure_function_of_measurements() {
-    let set = sapphire_rapids_like();
-    let ms = measure(Domain::Branch, &set, &cfg());
-    let basis = basis::branch_basis();
-    let signatures = signature::branch_signatures();
-    let run = || {
-        AnalysisRequest::new()
-            .domain("branch")
-            .events(&ms.events)
-            .runs(&ms.runs)
-            .basis(&basis)
-            .signatures(&signatures)
-            .config(AnalysisConfig::branch())
-            .run()
-            .unwrap()
-    };
-    let a = run();
-    let b = run();
+    let h = Harness { cfg: cfg(), ..Harness::new(Scale::Fast) };
+    let ms = h.measure(Domain::Branch, &NoopObserver).unwrap();
+    let study = study(Domain::Branch, &h.cfg);
+    let a = study.request(&ms).run().unwrap();
+    let b = study.request(&ms).run().unwrap();
     assert_eq!(
         a.selection.events.iter().map(|e| &e.name).collect::<Vec<_>>(),
         b.selection.events.iter().map(|e| &e.name).collect::<Vec<_>>()

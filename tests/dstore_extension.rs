@@ -1,11 +1,12 @@
 //! End-to-end checks for the store-path (write/RFO) extension domain.
 
 use catalyze_bench::{Harness, Scale};
+use catalyze_cat::Domain;
 
 #[test]
 fn dstore_pipeline_composes_write_metrics() {
     let h = Harness::new(Scale::Fast);
-    let d = h.dstore().unwrap();
+    let d = h.domain(Domain::Dstore).unwrap();
 
     assert_eq!(d.measurements.num_points(), 8);
     assert_eq!(d.basis.dim(), 4);
@@ -57,10 +58,10 @@ fn dstore_sync_runner_matches_the_observed_variant() {
     // (`// lint: contract(deterministic)`): two runs, and a run under a
     // recording observer, must agree bit for bit.
     let h = Harness::new(Scale::Fast);
-    let first = h.measure("dstore", &catalyze_obs::NoopObserver).unwrap();
+    let first = h.measure(Domain::Dstore, &catalyze_obs::NoopObserver).unwrap();
     first.validate().unwrap();
-    let second = h.measure("dstore", &catalyze_obs::NoopObserver).unwrap();
-    let observed = h.measure("dstore", &catalyze_obs::TraceCollector::new()).unwrap();
+    let second = h.measure(Domain::Dstore, &catalyze_obs::NoopObserver).unwrap();
+    let observed = h.measure(Domain::Dstore, &catalyze_obs::TraceCollector::new()).unwrap();
     assert_eq!(first, second, "repeated sync runs must be bit-identical");
     assert_eq!(first, observed, "observation must not perturb the measurements");
 }
@@ -70,7 +71,7 @@ fn dstore_load_events_stay_out() {
     // The store benchmark performs no loads; the load-side events must be
     // discarded as all-zero, never selected.
     let h = Harness::new(Scale::Fast);
-    let d = h.dstore().unwrap();
+    let d = h.domain(Domain::Dstore).unwrap();
     for e in &d.analysis.selection.events {
         assert!(
             !e.name.starts_with("MEM_LOAD_RETIRED"),

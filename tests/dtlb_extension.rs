@@ -3,11 +3,12 @@
 //! future work.
 
 use catalyze_bench::{Harness, Scale};
+use catalyze_cat::Domain;
 
 #[test]
 fn dtlb_pipeline_composes_tlb_metrics() {
     let h = Harness::new(Scale::Fast);
-    let d = h.dtlb().unwrap();
+    let d = h.domain(Domain::Dtlb).unwrap();
 
     // The benchmark: 6 points, 3 per region.
     assert_eq!(d.measurements.num_points(), 8);
@@ -40,7 +41,7 @@ fn dtlb_pipeline_composes_tlb_metrics() {
 #[test]
 fn dtlb_measurements_have_clean_regions() {
     let h = Harness::new(Scale::Fast);
-    let ms = h.measure("dtlb", &catalyze_obs::NoopObserver).unwrap();
+    let ms = h.measure(Domain::Dtlb, &catalyze_obs::NoopObserver).unwrap();
     ms.validate().unwrap();
     let walks = ms.event_index("DTLB_LOAD_MISSES:MISS_CAUSES_A_WALK").unwrap();
     let v = ms.mean_vector(walks);
@@ -58,7 +59,7 @@ fn dtlb_cache_events_do_not_masquerade() {
     // cache events must be rejected by the representation stage (their
     // curves do not match the 2-dimensional TLB basis), not selected.
     let h = Harness::new(Scale::Fast);
-    let d = h.dtlb().unwrap();
+    let d = h.domain(Domain::Dtlb).unwrap();
     for e in &d.analysis.selection.events {
         assert!(
             !e.name.starts_with("MEM_LOAD_RETIRED") && !e.name.starts_with("L2_RQSTS"),

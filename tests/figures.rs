@@ -3,11 +3,12 @@
 
 use catalyze::report;
 use catalyze_bench::{Harness, Scale};
+use catalyze_cat::Domain;
 
 #[test]
 fn fig2_branch_variabilities_are_bimodal_around_tau() {
     let h = Harness::new(Scale::Fast);
-    let d = h.branch().unwrap();
+    let d = h.domain(Domain::Branch).unwrap();
     let sorted = d.analysis.noise.sorted_variabilities();
     assert!(sorted.len() > 40, "enough non-discarded events plotted");
     let tau = d.analysis.config.tau;
@@ -28,7 +29,7 @@ fn fig2_branch_variabilities_are_bimodal_around_tau() {
 #[test]
 fn fig2_cache_variabilities_are_messier() {
     let h = Harness::new(Scale::Fast);
-    let d = h.dcache().unwrap();
+    let d = h.domain(Domain::Dcache).unwrap();
     let sorted = d.analysis.noise.sorted_variabilities();
     // Cache events populate the middle ground (no clean gap) — the reason
     // the paper needs the lenient tau = 1e-1 here.
@@ -39,7 +40,7 @@ fn fig2_cache_variabilities_are_messier() {
 #[test]
 fn fig2_data_format() {
     let h = Harness::new(Scale::Fast);
-    let d = h.branch().unwrap();
+    let d = h.domain(Domain::Branch).unwrap();
     let data = report::figure2_data(&d.analysis.noise);
     let lines: Vec<&str> = data.lines().collect();
     assert!(lines[0].starts_with('#'));
@@ -51,7 +52,7 @@ fn fig2_data_format() {
 #[test]
 fn fig3_rounded_combination_tracks_signature() {
     let h = Harness::new(Scale::Fast);
-    let d = h.dcache().unwrap();
+    let d = h.domain(Domain::Dcache).unwrap();
     for sig in &d.signatures {
         let data = report::figure3_data(&d.analysis, &d.basis, sig, &d.measurements.point_labels);
         for line in data.lines().filter(|l| !l.starts_with('#')) {
@@ -77,7 +78,7 @@ fn fig3_rounded_combination_tracks_signature() {
 fn fig3_signature_curves_match_regions() {
     // The L1-hits signature must be 1 on L1-resident points and 0 elsewhere.
     let h = Harness::new(Scale::Fast);
-    let d = h.dcache().unwrap();
+    let d = h.domain(Domain::Dcache).unwrap();
     let sig = d.signatures.iter().find(|s| s.name == "L1 Hits.").unwrap();
     let curve = d.basis.matrix.matvec(&sig.coefficients).unwrap();
     for (p, label) in d.measurements.point_labels.iter().enumerate() {

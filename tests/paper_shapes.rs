@@ -5,79 +5,18 @@
 //! (Tables V–VIII), and the characteristic failure errors (0.236, 0.414,
 //! 1.0) that are analytic properties of the event semantics.
 
-use catalyze::basis::{self, CacheRegion};
-use catalyze::pipeline::{AnalysisConfig, AnalysisReport, AnalysisRequest};
-use catalyze::signature;
-use catalyze_cat::{dcache, Domain, MeasurementSet, RunnerConfig, SimRequest};
-use catalyze_sim::{mi250x_like, sapphire_rapids_like, CpuEventSet, GpuEventSet};
+use catalyze::pipeline::AnalysisReport;
+use catalyze_bench::{Harness, Scale};
+use catalyze_cat::Domain;
 
-fn cfg() -> RunnerConfig {
-    // Down-scaled but structurally identical to the full harness settings.
-    let mut c = RunnerConfig::fast_test();
-    c.repetitions = 3;
-    c.flops_trips = 512;
-    c.branch_iterations = 1024;
-    c
-}
-
-/// Runs one CPU domain through the public entry point.
-fn measure(domain: Domain, set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
-    SimRequest::new().domain(domain).events(set).config(cfg).run().expect("valid request")
-}
-
-/// Runs the GPU-FLOPs domain through the public entry point.
-fn measure_gpu(set: &GpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
-    let request = SimRequest::new().domain(Domain::GpuFlops).gpu_events(set).config(cfg);
-    request.run().expect("valid request")
-}
-
-fn regions(core: &catalyze_sim::CoreConfig) -> Vec<CacheRegion> {
-    dcache::point_regions(&core.hierarchy)
-        .into_iter()
-        .map(|r| match r {
-            dcache::Region::L1 => CacheRegion::L1,
-            dcache::Region::L2 => CacheRegion::L2,
-            dcache::Region::L3 => CacheRegion::L3,
-            dcache::Region::Memory => CacheRegion::Memory,
-        })
-        .collect()
-}
-
-/// Runs one domain's pipeline over `ms` via the request builder.
-fn run_request(
-    domain: &str,
-    ms: &catalyze_cat::MeasurementSet,
-    basis: &basis::Basis,
-    signatures: &[signature::MetricSignature],
-    config: AnalysisConfig,
-) -> AnalysisReport {
-    AnalysisRequest::new()
-        .domain(domain)
-        .events(&ms.events)
-        .runs(&ms.runs)
-        .basis(basis)
-        .signatures(signatures)
-        .config(config)
-        .run()
-        .unwrap()
-}
-
-fn cpu_flops_report() -> AnalysisReport {
-    let set = sapphire_rapids_like();
-    let c = cfg();
-    let ms = measure(Domain::CpuFlops, &set, &c);
-    run_request(
-        "cpu-flops",
-        &ms,
-        &basis::cpu_flops_basis(),
-        &signature::cpu_flops_signatures(),
-        AnalysisConfig::cpu_flops(),
-    )
+/// Runs one domain through the down-scaled harness and returns its analysis.
+fn report(domain: Domain) -> AnalysisReport {
+    Harness::new(Scale::Fast).domain(domain).unwrap().analysis
 }
 
 #[test]
 fn cpu_flops_selection_matches_section_5a() {
-    let report = cpu_flops_report();
+    let report = report(Domain::CpuFlops);
     let mut selected: Vec<String> =
         report.selection.events.iter().map(|e| e.name.clone()).collect();
     selected.sort();
@@ -100,7 +39,7 @@ fn cpu_flops_selection_matches_section_5a() {
 
 #[test]
 fn cpu_flops_metrics_match_table5() {
-    let report = cpu_flops_report();
+    let report = report(Domain::CpuFlops);
     // SP/DP Instrs and Ops compose with tiny error.
     for name in ["SP Instrs.", "SP Ops.", "DP Instrs.", "DP Ops."] {
         let m = report.metric(name).unwrap();
@@ -135,16 +74,7 @@ fn cpu_flops_metrics_match_table5() {
 
 #[test]
 fn branch_selection_and_metrics_match_section_5c_and_table7() {
-    let set = sapphire_rapids_like();
-    let c = cfg();
-    let ms = measure(Domain::Branch, &set, &c);
-    let report = run_request(
-        "branch",
-        &ms,
-        &basis::branch_basis(),
-        &signature::branch_signatures(),
-        AnalysisConfig::branch(),
-    );
+    let report = report(Domain::Branch);
     let mut selected: Vec<String> =
         report.selection.events.iter().map(|e| e.name.clone()).collect();
     selected.sort();
@@ -187,16 +117,7 @@ fn branch_selection_and_metrics_match_section_5c_and_table7() {
 
 #[test]
 fn gpu_selection_and_metrics_match_section_5b_and_table6() {
-    let set = mi250x_like(2);
-    let c = cfg();
-    let ms = measure_gpu(&set, &c);
-    let report = run_request(
-        "gpu-flops",
-        &ms,
-        &basis::gpu_flops_basis(),
-        &signature::gpu_flops_signatures(),
-        AnalysisConfig::gpu_flops(),
-    );
+    let report = report(Domain::GpuFlops);
     // §V.B: SQ_INSTS_VALU_[ADD|MUL|TRANS|FMA]_F[16|32|64], device 0.
     assert_eq!(report.selection.events.len(), 12);
     for class in ["ADD", "MUL", "TRANS", "FMA"] {
@@ -227,16 +148,7 @@ fn gpu_selection_and_metrics_match_section_5b_and_table6() {
 
 #[test]
 fn dcache_selection_and_metrics_match_section_5d_and_table8() {
-    let set = sapphire_rapids_like();
-    let c = cfg();
-    let ms = measure(Domain::Dcache, &set, &c);
-    let report = run_request(
-        "dcache",
-        &ms,
-        &basis::dcache_basis(&regions(&c.core)),
-        &signature::dcache_signatures(),
-        AnalysisConfig::dcache(),
-    );
+    let report = report(Domain::Dcache);
     let mut selected: Vec<String> =
         report.selection.events.iter().map(|e| e.name.clone()).collect();
     selected.sort();

@@ -2,48 +2,19 @@
 //! has no control over on real hardware: the PMU noise seed (a different
 //! "day" on the machine) and the caches' replacement policy.
 
-use catalyze::basis::{self, CacheRegion};
-use catalyze::pipeline::{AnalysisConfig, AnalysisRequest};
-use catalyze::signature;
-use catalyze_cat::{dcache, Domain, MeasurementSet, RunnerConfig, SimRequest};
+use catalyze_bench::{Harness, Scale};
+use catalyze_cat::Domain;
 use catalyze_sim::cache::{CacheConfig, ReplacementPolicy};
 use catalyze_sim::hierarchy::HierarchyConfig;
-use catalyze_sim::{sapphire_rapids_like, CpuEventSet};
-
-fn fast() -> RunnerConfig {
-    let mut c = RunnerConfig::fast_test();
-    c.branch_iterations = 1024;
-    c
-}
-
-/// Runs one CPU domain through the public entry point.
-fn measure(domain: Domain, set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
-    SimRequest::new().domain(domain).events(set).config(cfg).run().expect("valid request")
-}
 
 #[test]
 fn branch_selection_is_seed_invariant() {
-    let set = sapphire_rapids_like();
     let mut selections = Vec::new();
     for seed in [1u64, 0xDEAD_BEEF, 42_424_242] {
-        let mut cfg = fast();
-        cfg.pmu.seed = seed;
-        let ms = measure(Domain::Branch, &set, &cfg);
-        let basis = basis::branch_basis();
-        let signatures = signature::branch_signatures();
-        let report = AnalysisRequest::new()
-            .domain("branch")
-            .events(&ms.events)
-            .runs(&ms.runs)
-            .basis(&basis)
-            .signatures(&signatures)
-            .config(AnalysisConfig::branch())
-            .run()
-            .unwrap();
-        let mut names: Vec<String> =
-            report.selection.events.iter().map(|e| e.name.clone()).collect();
-        names.sort();
-        selections.push(names);
+        let mut h = Harness::new(Scale::Fast);
+        h.cfg.pmu.seed = seed;
+        let report = h.domain(Domain::Branch).unwrap().analysis;
+        selections.push(sorted_selection(&report));
     }
     assert_eq!(selections[0], selections[1]);
     assert_eq!(selections[1], selections[2]);
@@ -51,36 +22,15 @@ fn branch_selection_is_seed_invariant() {
 }
 
 fn dcache_report_under(policy: ReplacementPolicy) -> catalyze::AnalysisReport {
-    let mut cfg = fast();
+    let mut h = Harness::new(Scale::Fast);
     let mk = |size: u64, ways: u32| CacheConfig::with_policy(size, 64, ways, policy);
-    cfg.core.hierarchy = HierarchyConfig {
+    h.cfg.core.hierarchy = HierarchyConfig {
         l1: mk(16 * 1024, 8),
         l2: mk(128 * 1024, 8),
         l3: mk(1024 * 1024, 16),
         prefetch_next_line: false,
     };
-    let set = sapphire_rapids_like();
-    let ms = measure(Domain::Dcache, &set, &cfg);
-    let regions: Vec<CacheRegion> = dcache::point_regions(&cfg.core.hierarchy)
-        .into_iter()
-        .map(|r| match r {
-            dcache::Region::L1 => CacheRegion::L1,
-            dcache::Region::L2 => CacheRegion::L2,
-            dcache::Region::L3 => CacheRegion::L3,
-            dcache::Region::Memory => CacheRegion::Memory,
-        })
-        .collect();
-    let basis = basis::dcache_basis(&regions);
-    let signatures = signature::dcache_signatures();
-    AnalysisRequest::new()
-        .domain("dcache")
-        .events(&ms.events)
-        .runs(&ms.runs)
-        .basis(&basis)
-        .signatures(&signatures)
-        .config(AnalysisConfig::dcache())
-        .run()
-        .unwrap()
+    h.domain(Domain::Dcache).unwrap().analysis
 }
 
 fn sorted_selection(report: &catalyze::AnalysisReport) -> Vec<String> {

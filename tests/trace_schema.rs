@@ -5,6 +5,7 @@
 
 use catalyze::pipeline::AnalysisRequest;
 use catalyze_bench::{Harness, Scale};
+use catalyze_cat::Domain;
 use catalyze_obs::TraceCollector;
 use serde_json::Value;
 
@@ -19,7 +20,7 @@ fn linalg_turn() -> std::sync::MutexGuard<'static, ()> {
 fn traced_branch() -> (Value, String) {
     let h = Harness::new(Scale::Fast);
     let trace = TraceCollector::new();
-    let d = h.domain_obs("branch", &trace).unwrap().unwrap();
+    let d = h.domain_obs(Domain::Branch, &trace).unwrap();
     let report = serde_json::to_string(&d.analysis).unwrap();
     (serde_json::from_str(&trace.render_json()).unwrap(), report)
 }
@@ -122,7 +123,7 @@ fn cache_domain_traces_show_stream_collapse_counters() {
     // and warmup->measure reuse through the keyed stream memo.
     let h = Harness::new(Scale::Fast);
     let trace = TraceCollector::new();
-    h.domain_obs("dcache", &trace).unwrap().unwrap();
+    h.domain_obs(Domain::Dcache, &trace).unwrap();
     let json: Value = serde_json::from_str(&trace.render_json()).unwrap();
     let counters = json["counters"].as_array().unwrap();
     let get = |name: &str| {
@@ -138,17 +139,11 @@ fn cache_domain_traces_show_stream_collapse_counters() {
 fn noop_observed_runs_are_byte_identical() {
     let _turn = linalg_turn();
     let h = Harness::new(Scale::Fast);
-    let ms = h.measure("branch", &catalyze_obs::NoopObserver).unwrap();
-    let (basis, signatures, config) = h.domain_inputs("branch").unwrap();
+    let ms = h.measure(Domain::Branch, &catalyze_obs::NoopObserver).unwrap();
+    let study = catalyze_check::study(Domain::Branch, &h.cfg);
     let run =
         |request: AnalysisRequest<'_>| serde_json::to_string(&request.run().unwrap()).unwrap();
-    let base = AnalysisRequest::new()
-        .domain("branch")
-        .events(&ms.events)
-        .runs(&ms.runs)
-        .basis(&basis)
-        .signatures(&signatures)
-        .config(config);
+    let base = study.request(&ms);
 
     // Default observer (noop), explicit noop, and a live trace collector
     // must all produce byte-identical reports.

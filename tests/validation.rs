@@ -3,18 +3,18 @@
 //! an independent mixed workload.
 
 use catalyze_bench::{Harness, Scale};
-use catalyze_cat::validate_presets;
+use catalyze_cat::{validate_presets, Domain};
 use catalyze_events::Preset;
 
-fn pipeline_presets(domain: &str, h: &Harness) -> Vec<Preset> {
-    let d = h.domain(domain).expect("known domain").expect("domain analyzes");
+fn pipeline_presets(domain: Domain, h: &Harness) -> Vec<Preset> {
+    let d = h.domain(domain).expect("domain analyzes");
     d.analysis.composable_metrics().iter().map(|m| m.to_preset(1e-6)).collect()
 }
 
 #[test]
 fn cpu_flops_presets_predict_ground_truth() {
     let h = Harness::new(Scale::Fast);
-    let presets = pipeline_presets("cpu-flops", &h);
+    let presets = pipeline_presets(Domain::CpuFlops, &h);
     assert!(presets.len() >= 4, "SP/DP Instrs and Ops must be composable");
     let outcomes = validate_presets(&presets, &h.cpu_events, h.cfg.core, h.cfg.pmu, 99);
     assert!(outcomes.len() >= 4);
@@ -35,7 +35,7 @@ fn cpu_flops_presets_predict_ground_truth() {
 #[test]
 fn branch_presets_predict_ground_truth() {
     let h = Harness::new(Scale::Fast);
-    let presets = pipeline_presets("branch", &h);
+    let presets = pipeline_presets(Domain::Branch, &h);
     assert_eq!(presets.len(), 6, "six of seven branch metrics compose");
     let outcomes = validate_presets(&presets, &h.cpu_events, h.cfg.core, h.cfg.pmu, 77);
     assert_eq!(outcomes.len(), 6);
@@ -54,7 +54,7 @@ fn branch_presets_predict_ground_truth() {
 #[test]
 fn dcache_presets_predict_ground_truth_within_noise() {
     let h = Harness::new(Scale::Fast);
-    let presets = pipeline_presets("dcache", &h);
+    let presets = pipeline_presets(Domain::Dcache, &h);
     assert_eq!(presets.len(), 6);
     let outcomes = validate_presets(&presets, &h.cpu_events, h.cfg.core, h.cfg.pmu, 55);
     assert_eq!(outcomes.len(), 6);
@@ -75,7 +75,7 @@ fn dcache_presets_predict_ground_truth_within_noise() {
 #[test]
 fn gpu_presets_predict_ground_truth() {
     let h = Harness::new(Scale::Fast);
-    let presets = pipeline_presets("gpu-flops", &h);
+    let presets = pipeline_presets(Domain::GpuFlops, &h);
     // The four composable Table-VI metrics (Add and Sub + three All Ops).
     assert!(presets.len() >= 4, "got {}", presets.len());
     let outcomes = catalyze_cat::validate::validate_gpu_presets(

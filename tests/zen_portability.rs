@@ -9,56 +9,29 @@
 //! composable on the SPR-like machine become non-composable here and vice
 //! versa, with no configuration change beyond the event inventory.
 
-use catalyze::basis::{self, Basis};
-use catalyze::pipeline::{AnalysisConfig, AnalysisReport, AnalysisRequest};
-use catalyze::signature::{self, MetricSignature};
-use catalyze_cat::{Domain, MeasurementSet, RunnerConfig, SimRequest};
-use catalyze_sim::{zen_like, CpuEventSet};
+use catalyze::pipeline::AnalysisReport;
+use catalyze::signature;
+use catalyze_bench::{Harness, Scale};
+use catalyze_cat::Domain;
+use catalyze_check::study;
+use catalyze_sim::zen_like;
 
-fn cfg() -> RunnerConfig {
-    let mut c = RunnerConfig::fast_test();
-    c.flops_trips = 512;
-    c.branch_iterations = 1024;
-    c
+/// The down-scaled harness measuring the Zen-like event inventory.
+fn zen() -> Harness {
+    Harness { cpu_events: zen_like(), ..Harness::new(Scale::Fast) }
 }
 
-/// Runs one CPU domain through the public entry point.
-fn measure(domain: Domain, set: &CpuEventSet, cfg: &RunnerConfig) -> MeasurementSet {
-    SimRequest::new().domain(domain).events(set).config(cfg).run().expect("valid request")
-}
-
-/// Runs one Zen-domain analysis over `ms` via the request builder.
-fn run_request(
-    domain: &str,
-    ms: &MeasurementSet,
-    basis: &Basis,
-    signatures: &[MetricSignature],
-    config: AnalysisConfig,
-) -> AnalysisReport {
-    AnalysisRequest::new()
-        .domain(domain)
-        .events(&ms.events)
-        .runs(&ms.runs)
-        .basis(basis)
-        .signatures(signatures)
-        .config(config)
-        .run()
-        .unwrap()
+fn zen_report(domain: Domain) -> AnalysisReport {
+    zen().domain(domain).unwrap().analysis
 }
 
 #[test]
 fn per_precision_metrics_not_composable_on_zen() {
-    let set = zen_like();
-    let ms = measure(Domain::CpuFlops, &set, &cfg());
-    let mut signatures = signature::cpu_flops_signatures();
-    signatures.push(signature::all_fp_ops_signature());
-    let report = run_request(
-        "cpu-flops/zen",
-        &ms,
-        &basis::cpu_flops_basis(),
-        &signatures,
-        AnalysisConfig::cpu_flops(),
-    );
+    let h = zen();
+    let ms = h.measure(Domain::CpuFlops, &catalyze_obs::NoopObserver).unwrap();
+    let mut study = study(Domain::CpuFlops, &h.cfg);
+    study.signatures.push(signature::all_fp_ops_signature());
+    let report = study.request(&ms).run().unwrap();
 
     // The selection comes from the RETIRED_SSE_AVX_FLOPS family.
     assert!(!report.selection.events.is_empty());
@@ -81,15 +54,7 @@ fn per_precision_metrics_not_composable_on_zen() {
 
 #[test]
 fn branch_metrics_use_different_combinations_on_zen() {
-    let set = zen_like();
-    let ms = measure(Domain::Branch, &set, &cfg());
-    let report = run_request(
-        "branch/zen",
-        &ms,
-        &basis::branch_basis(),
-        &signature::branch_signatures(),
-        AnalysisConfig::branch(),
-    );
+    let report = zen_report(Domain::Branch);
 
     let coef = |m: &catalyze::DefinedMetric, ev: &str| {
         m.events.iter().position(|e| e == ev).map(|i| m.coefficients[i]).unwrap_or(0.0)
@@ -121,15 +86,7 @@ fn branch_metrics_use_different_combinations_on_zen() {
 
 #[test]
 fn zen_flop_events_survive_noise_and_representation() {
-    let set = zen_like();
-    let ms = measure(Domain::CpuFlops, &set, &cfg());
-    let report = run_request(
-        "cpu-flops/zen",
-        &ms,
-        &basis::cpu_flops_basis(),
-        &signature::cpu_flops_signatures(),
-        AnalysisConfig::cpu_flops(),
-    );
+    let report = zen_report(Domain::CpuFlops);
     let kept: Vec<&str> = report.representation.kept.iter().map(|e| e.name.as_str()).collect();
     for name in [
         "RETIRED_SSE_AVX_FLOPS:ADD_SUB_FLOPS",
@@ -146,28 +103,7 @@ fn zen_cache_metrics_compose_from_amd_events() {
     // The cache story ports too: AMD has no load-retirement L1-hit event,
     // so L1 hits compose as `LS_DC_ACCESSES − LS_MAB_ALLOC` (accesses minus
     // miss-buffer allocations).
-    use catalyze::basis::CacheRegion;
-    use catalyze_cat::dcache;
-
-    let set = zen_like();
-    let cfg = cfg();
-    let ms = measure(Domain::Dcache, &set, &cfg);
-    let regions: Vec<CacheRegion> = dcache::point_regions(&cfg.core.hierarchy)
-        .into_iter()
-        .map(|r| match r {
-            dcache::Region::L1 => CacheRegion::L1,
-            dcache::Region::L2 => CacheRegion::L2,
-            dcache::Region::L3 => CacheRegion::L3,
-            dcache::Region::Memory => CacheRegion::Memory,
-        })
-        .collect();
-    let report = run_request(
-        "dcache/zen",
-        &ms,
-        &basis::dcache_basis(&regions),
-        &signature::dcache_signatures(),
-        AnalysisConfig::dcache(),
-    );
+    let report = zen_report(Domain::Dcache);
     assert_eq!(report.selection.events.len(), 4, "{:?}", report.selection.names());
 
     for m in &report.metrics {
