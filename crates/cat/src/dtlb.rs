@@ -61,9 +61,13 @@ impl TlbChaseConfig {
     /// `(page, line)` slots. Line indices are offset by the page index so
     /// that even single-line-per-page configurations spread across cache
     /// sets instead of aliasing onto one.
+    ///
+    /// The permutation is held as `u32` slot indices, so a chain has at
+    /// most `u32::MAX` slots; [`crate::RunnerConfig::validate`] rejects
+    /// sweeps with longer ones.
     pub fn chase_addresses(&self, base: u64, seed: u64) -> Vec<u64> {
         let n = self.slots() as usize;
-        let mut perm: Vec<usize> = (0..n).collect();
+        let mut perm: Vec<u32> = (0..u32::MAX).take(n).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         for i in (1..n).rev() {
             let j = rng.gen_range(0..i);
@@ -71,10 +75,10 @@ impl TlbChaseConfig {
         }
         let lines_in_page = (self.page_bytes / 64).max(1);
         let mut addrs = Vec::with_capacity(n);
-        let mut slot = 0usize;
+        let mut slot = 0u32;
         for _ in 0..n {
-            let page = slot as u64 % self.pages;
-            let k = slot as u64 / self.pages;
+            let page = u64::from(slot) % self.pages;
+            let k = u64::from(slot) / self.pages;
             // Multiplicative hash of the page index decorrelates the line
             // offset from the page's own low bits; a plain `page % lines`
             // offset would leave the cache-set index a function of
@@ -83,7 +87,7 @@ impl TlbChaseConfig {
             let spread = (page.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 40;
             let line = (k + spread) % lines_in_page;
             addrs.push(base + page * self.page_bytes + line * 64);
-            slot = perm[slot];
+            slot = perm[slot as usize];
         }
         addrs
     }

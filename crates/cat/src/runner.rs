@@ -41,8 +41,8 @@ use catalyze_linalg::vector::median_in_place;
 use catalyze_obs::{Observer, Span};
 use catalyze_sim::gpu::GpuEventDef;
 use catalyze_sim::{
-    CoreConfig, Cpu, CpuEventDef, CpuEventSet, CpuPmu, ExecStats, GpuConfig, GpuDevice,
-    GpuEventSet, GpuStats, KernelTrace, PmuConfig, Program, StreamStats,
+    CoreConfig, CountedStats, Cpu, CpuEventDef, CpuEventSet, CpuPmu, ExecStats, GpuConfig,
+    GpuDevice, GpuEventSet, GpuStats, KernelTrace, PmuConfig, Program, StreamStats,
 };
 use rayon::prelude::*;
 
@@ -121,18 +121,18 @@ fn record_runner_counters(obs: &dyn Observer, points: usize, events: usize, repe
 struct EngineCounts {
     /// Memo and collapse counters (`Cpu::stream_stats`).
     stream: StreamStats,
-    /// Passes counted instead of driven (`Cpu::passes_counted`).
-    passes_counted: u64,
+    /// Counted-pass counters (`Cpu::counted_stats`).
+    counted: CountedStats,
 }
 
 impl EngineCounts {
     fn of(cpu: &Cpu) -> Self {
-        Self { stream: cpu.stream_stats(), passes_counted: cpu.passes_counted() }
+        Self { stream: cpu.stream_stats(), counted: cpu.counted_stats() }
     }
 
     fn merge(&mut self, other: Self) {
         self.stream.merge(other.stream);
-        self.passes_counted += other.passes_counted;
+        self.counted.merge(other.counted);
     }
 }
 
@@ -141,7 +141,8 @@ impl EngineCounts {
 ///
 /// Exactly one labelled counter is bumped by 1 per run, so summed traces
 /// count runs per engine: `runner.engine.direct` for `Direct` reference
-/// execution, `runner.engine.replay` for `Replay`.
+/// execution, `runner.engine.replay` for `Replay`. `stream.rows_kept`
+/// sums the kept levels, L1 included.
 fn record_engine_counters(obs: &dyn Observer, engine: SimEngine, counts: EngineCounts) {
     let name = match engine {
         SimEngine::Direct => "runner.engine.direct",
@@ -151,7 +152,10 @@ fn record_engine_counters(obs: &dyn Observer, engine: SimEngine, counts: EngineC
     obs.counter("stream.memo_hits", counts.stream.memo_hits);
     obs.counter("stream.memo_misses", counts.stream.memo_misses);
     obs.counter("stream.passes_collapsed", counts.stream.passes_collapsed);
-    obs.counter("stream.passes_counted", counts.passes_counted);
+    obs.counter("stream.passes_counted", counts.counted.passes);
+    obs.counter("stream.tlb_passes_settled", counts.counted.tlb_passes_settled);
+    obs.counter("stream.passes_thrashed", counts.counted.passes_thrashed);
+    obs.counter("stream.rows_kept", counts.counted.rows_kept.iter().sum());
 }
 
 /// Reads every event at every point of a sweep, for each repetition,
@@ -781,7 +785,14 @@ mod tests {
         assert!(trace.counter_value("stream.memo_misses").is_some());
         assert!(trace.counter_value("stream.passes_collapsed").is_some());
         // Branch kernels have no memory stream, so nothing is counted.
-        assert_eq!(trace.counter_value("stream.passes_counted").unwrap_or(0), 0);
+        for name in [
+            "stream.passes_counted",
+            "stream.tlb_passes_settled",
+            "stream.passes_thrashed",
+            "stream.rows_kept",
+        ] {
+            assert_eq!(trace.counter_value(name).unwrap_or(0), 0, "{name}");
+        }
         // The noop-observer path produces the same measurements.
         assert_eq!(request.run().unwrap().runs, ms.runs);
     }
@@ -806,8 +817,17 @@ mod tests {
         assert!(trace.counter_value("stream.passes_collapsed").unwrap() > 0);
         assert!(trace.counter_value("stream.memo_hits").unwrap() > 0);
         // The large points' cold warmup passes on the stock LRU core are
-        // counted rather than driven.
-        assert!(trace.counter_value("stream.passes_counted").unwrap() > 0);
+        // counted rather than driven, and their second passes take each
+        // shortcut: the TLB past its fill point, the memory points'
+        // thrash, and the levels every access reached.
+        for name in [
+            "stream.passes_counted",
+            "stream.tlb_passes_settled",
+            "stream.passes_thrashed",
+            "stream.rows_kept",
+        ] {
+            assert!(trace.counter_value(name).unwrap() > 0, "{name}");
+        }
     }
 
     #[test]

@@ -442,12 +442,14 @@ impl Cpu {
         self.stream_memo.stats()
     }
 
-    /// Passes the stream engine settled by counting per set instead of
-    /// driving the slot rows: the cold first two passes of a line-distinct
-    /// stream on empty LRU caches. Like [`Cpu::stream_stats`] it describes
-    /// the engine, and a counted pass also counts as driven, not collapsed.
-    pub fn passes_counted(&self) -> u64 {
-        self.stream_memo.passes_counted()
+    /// Counters of the passes the stream engine settled by counting per
+    /// set instead of driving the slot rows — the cold first two passes of
+    /// a line-distinct stream on empty LRU caches — and of the rules that
+    /// settle their second pass from the first. Like [`Cpu::stream_stats`]
+    /// they describe the engine, and a counted pass also counts as driven,
+    /// not collapsed.
+    pub fn counted_stats(&self) -> crate::stream::CountedStats {
+        self.stream_memo.counted()
     }
 
     /// Clears statistics but keeps microarchitectural state (warm caches,

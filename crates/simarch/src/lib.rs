@@ -57,5 +57,5 @@ pub use isa::{FpKind, Instruction, IntKind, Precision, VecWidth};
 pub use noise::NoiseModel;
 pub use pmu::{CpuPmu, PmuConfig};
 pub use program::{Block, Item, Program};
-pub use stream::StreamStats;
+pub use stream::{CountedStats, StreamStats};
 pub use trace::KernelTrace;

@@ -45,10 +45,25 @@
 //!   iff fewer than `W` set-mates arrived there since its own pass-0
 //!   arrival: the set-mates after it in the stream, plus those before it
 //!   that already arrived again in this pass. The slot rows are then
-//!   written from the stream order (see `Counted`). The TLB is still
-//!   driven, since pages repeat within a pass. A counted pass leaves the
-//!   same rows and returns the same tally as a driven one, so collapse,
-//!   the memo and the statistics flush treat it as driven.
+//!   written from the stream order (see `Counted`). Three rules settle
+//!   more of pass 1 from what pass 0 already settled:
+//!   * *TLB fill point.* Pages repeat within a pass, so the TLB is driven,
+//!     but when pass 0 starts on an empty TLB it notes the first check
+//!     point at which every TLB slot holds a translation. From there on
+//!     each TLB set holds its `W` most recent distinct pages whatever
+//!     state the pass began in, so pass 1 drives only the accesses before
+//!     that point, then takes pass 0's counts after it and its end rows.
+//!   * *Thrash.* When every set the stream touches holds more stream
+//!     lines than its ways at every level, each line meets `pop − 1 ≥ W`
+//!     set-mates at L1 in pass 1, misses, arrives at L2 and misses there
+//!     too, and so on: pass 1 misses everywhere, as pass 0 did.
+//!   * *Kept rows.* A level that no pass-1 access was served above saw the
+//!     same arrivals in the same order as in pass 0, so it keeps its
+//!     pass-0 rows. L1 always does.
+//!
+//!   A counted pass leaves the same rows and returns the same tally as a
+//!   driven one, so collapse, the memo and the statistics flush treat it
+//!   as driven.
 //!
 //! This is the only memory path of replay: it covers every cache geometry,
 //! replacement policy and the next-line prefetcher. The parity tests below
@@ -80,6 +95,11 @@ const COLLAPSE_MIN_ACCESSES: u64 = 2048;
 /// keeps the per-pass lookup a short linear scan and the per-`Cpu`
 /// footprint predictable.
 const MEMO_CAPACITY: usize = 8;
+
+/// Accesses between the counted pass 0's checks for a full TLB. Any
+/// check point past the true fill point is exact; the interval only
+/// bounds how far past it pass 1's driven prefix runs.
+const TLB_FILL_CHECK: usize = 256;
 
 /// Everything one pass over the stream did, bucketed by the level that
 /// satisfied each access and by access kind. All derived statistics
@@ -121,6 +141,35 @@ impl StreamStats {
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
         self.passes_collapsed += other.passes_collapsed;
+    }
+}
+
+/// Observer-facing counters for the counted passes (see the module docs),
+/// accumulated on the `StreamMemo` beside [`StreamStats`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CountedStats {
+    /// Passes settled by counting rather than driving; they count as
+    /// driven everywhere else.
+    pub passes: u64,
+    /// Counted second passes whose TLB was driven only up to the first
+    /// pass's fill point.
+    pub tlb_passes_settled: u64,
+    /// Counted second passes settled as all-memory from set populations.
+    pub passes_thrashed: u64,
+    /// Per level (L1, L2, L3), the counted second passes that kept the
+    /// level's first-pass slot rows.
+    pub rows_kept: [u64; 3],
+}
+
+impl CountedStats {
+    /// Accumulates another core's counters, like [`StreamStats::merge`].
+    pub fn merge(&mut self, other: CountedStats) {
+        self.passes += other.passes;
+        self.tlb_passes_settled += other.tlb_passes_settled;
+        self.passes_thrashed += other.passes_thrashed;
+        for (kept, other) in self.rows_kept.iter_mut().zip(other.rows_kept) {
+            *kept += other;
+        }
     }
 }
 
@@ -183,9 +232,8 @@ pub(crate) struct StreamMemo {
     tick: u64,
     /// Hit/miss/collapse counters surfaced to the observer layer.
     stats: StreamStats,
-    /// Passes settled by counting rather than driving; they count as
-    /// driven everywhere else.
-    passes_counted: u64,
+    /// Counted-pass counters, also surfaced to the observer layer.
+    counted: CountedStats,
 }
 
 impl StreamMemo {
@@ -231,9 +279,9 @@ impl StreamMemo {
         self.stats
     }
 
-    /// Passes settled by counting (see [`Counted`]).
-    pub(crate) fn passes_counted(&self) -> u64 {
-        self.passes_counted
+    /// Counted-pass counter snapshot for the observer layer.
+    pub(crate) fn counted(&self) -> CountedStats {
+        self.counted
     }
 }
 
@@ -313,16 +361,14 @@ fn drive_pass<const T: usize, const W1: usize, const W2: usize, const W3: usize>
     tally
 }
 
-/// Drives only the TLB through one pass — the counted passes' share of
+/// Drives only the TLB through `addrs` — the counted passes' share of
 /// the units that is not counted, since pages repeat within a pass.
-fn translate_pass<const T: usize>(tlb: &mut Tlb, mem: &[MemRun], tally: &mut PassTally) {
-    for run in mem {
-        for &addr in &run.addrs {
-            if tlb.translate_fast::<T>(addr) {
-                tally.tlb_hits += 1;
-            } else {
-                tally.tlb_misses += 1;
-            }
+fn translate_run<const T: usize>(tlb: &mut Tlb, addrs: &[u64], tally: &mut PassTally) {
+    for &addr in addrs {
+        if tlb.translate_fast::<T>(addr) {
+            tally.tlb_hits += 1;
+        } else {
+            tally.tlb_misses += 1;
         }
     }
 }
@@ -381,6 +427,24 @@ impl LevelCount {
     }
 }
 
+/// What a counted pass 1 takes over from the TLB's share of pass 0,
+/// which started on an empty TLB: from the first check point at which
+/// every TLB slot held a translation, each TLB set holds its `W` most
+/// recent distinct pages, whatever state the pass began in. So pass 1
+/// reaches the same TLB state at that point as pass 0 did, and repeats
+/// pass 0 from there on.
+#[derive(Debug)]
+struct TlbFill {
+    /// Accesses before the check point.
+    at: usize,
+    /// Pass 0's TLB hits from `at` on.
+    hits: u64,
+    /// Pass 0's TLB misses from `at` on.
+    misses: u64,
+    /// The TLB slot rows at the end of pass 0.
+    rows: Vec<u64>,
+}
+
 /// Counted passes: the first two passes of a call that starts with every
 /// cache level empty, settled per set instead of by driving the slot rows
 /// (see [`Counted::plan`] for when, and the module docs for why it is
@@ -392,6 +456,12 @@ struct Counted {
     /// The level index (L1 = 0 … memory = 3) that served each access in
     /// the last counted pass; an access arrived at every level up to it.
     served: Vec<u8>,
+    /// Whether every set the stream touches holds more stream lines than
+    /// its ways, at every level, so pass 1 misses everywhere.
+    thrashes: bool,
+    /// Pass 0's TLB past its fill point, when pass 0 started on an empty
+    /// TLB that filled.
+    tlb_fill: Option<TlbFill>,
 }
 
 impl Counted {
@@ -430,11 +500,14 @@ impl Counted {
             }
             *word |= 1 << (bit % 64);
         }
+        let thrashes = levels
+            .iter()
+            .all(|level| level.sets.iter().all(|c| c.pop == 0 || c.pop as usize > level.map.ways));
         for c in levels.iter_mut().flat_map(|level| &mut level.sets) {
             // Pass 0 starts from an empty level, so every line arrives.
             c.arrived = c.pop;
         }
-        Some(Self { levels, served: vec![3; accesses] })
+        Some(Self { levels, served: vec![3; accesses], thrashes, tlb_fill: None })
     }
 
     /// Settles pass 0 or pass 1 of the call, leaving the slot rows and
@@ -445,15 +518,19 @@ impl Counted {
         tlb: &mut Tlb,
         hierarchy: &mut Hierarchy,
         mem: &[MemRun],
+        stats: &mut CountedStats,
     ) -> PassTally {
         let mut tally = PassTally::default();
         if tlb.ways() == 4 {
-            translate_pass::<4>(tlb, mem, &mut tally);
+            self.translate::<4>(pass, tlb, mem, &mut tally, stats);
         } else {
-            translate_pass::<0>(tlb, mem, &mut tally);
+            self.translate::<0>(pass, tlb, mem, &mut tally, stats);
         }
-        if pass == 0 {
-            // Empty levels and distinct lines: everything misses to memory.
+        if pass == 0 || self.thrashes {
+            // Pass 0 starts on empty levels with distinct lines, and a
+            // thrashing pass 1 meets `pop − 1 ≥ W` set-mates at every
+            // level (see `count_warm`): everything misses to memory, and
+            // every access arrives everywhere, as `served` already says.
             for run in mem {
                 let lv = if run.kind == AccessKind::Read {
                     &mut tally.read_lv
@@ -462,17 +539,71 @@ impl Counted {
                 };
                 lv[3] += run.addrs.len() as u64;
             }
+            if pass == 1 {
+                stats.passes_thrashed += 1;
+            }
         } else {
             self.count_warm(mem, &mut tally);
         }
-        // Pass 1 brings every line back to L1, so L1 keeps its pass-0 rows.
-        let first = if pass == 0 { 0 } else { 1 };
+        // A level that no pass-1 access was served above saw the same
+        // arrivals in the same order as in pass 0, so it holds the same
+        // lines in the same order: its pass-0 rows stand. L1 always does.
+        let mut above = 0;
         for (l, (level, rows)) in self.levels.iter().zip(hierarchy.rows_mut()).enumerate() {
-            if l >= first {
+            if pass == 1 && above == 0 {
+                stats.rows_kept[l] += 1;
+            } else {
                 level.write_rows(rows, mem, &self.served, l as u8);
             }
+            above += tally.read_lv[l] + tally.write_lv[l];
         }
         tally
+    }
+
+    /// Settles the TLB's share of pass 0 or pass 1. Pass 0 drives the
+    /// whole stream, and when it starts on an empty TLB it keeps what
+    /// pass 1 needs from its first check point with every TLB slot valid
+    /// (see [`TlbFill`]). Pass 1 then drives only the accesses before
+    /// that point; without one it drives the whole stream too.
+    fn translate<const T: usize>(
+        &mut self,
+        pass: u64,
+        tlb: &mut Tlb,
+        mem: &[MemRun],
+        tally: &mut PassTally,
+        stats: &mut CountedStats,
+    ) {
+        if let (1, Some(fill)) = (pass, &self.tlb_fill) {
+            let mut left = fill.at;
+            for run in mem {
+                let n = left.min(run.addrs.len());
+                translate_run::<T>(tlb, &run.addrs[..n], tally);
+                left -= n;
+            }
+            tally.tlb_hits += fill.hits;
+            tally.tlb_misses += fill.misses;
+            tlb.rows_mut().copy_from_slice(&fill.rows);
+            stats.tlb_passes_settled += 1;
+            return;
+        }
+        let mut watch = pass == 0 && tlb.is_empty();
+        let (mut done, mut full_at) = (0, None);
+        for run in mem {
+            for chunk in run.addrs.chunks(TLB_FILL_CHECK) {
+                translate_run::<T>(tlb, chunk, tally);
+                done += chunk.len();
+                if watch && tlb.is_full() {
+                    watch = false;
+                    full_at = Some((done, tally.tlb_hits, tally.tlb_misses));
+                }
+            }
+        }
+        self.tlb_fill = full_at.map(|(at, hits, misses)| TlbFill {
+            at,
+            hits: tally.tlb_hits - hits,
+            misses: tally.tlb_misses - misses,
+            rows: tlb.rows_mut().to_vec(),
+        });
     }
 
     /// Counts pass 1. Every line arrived at every level in pass 0, so at a
@@ -482,9 +613,12 @@ impl Counted {
     /// before `x` in the stream, so `pop − rank − 1` arrived after it in
     /// pass 0, and `arrived_before` of the set-mates before it have
     /// arrived again in this pass. Only a miss passes `x` on to the next
-    /// level.
+    /// level. Every line arrives at L1, so there `arrived_before = rank`
+    /// and `D = pop − 1`: when every set the stream touches holds more
+    /// than `W` lines, L1 misses every line, every line arrives at L2, and
+    /// the same holds level by level — the thrash rule of [`Counted::pass`].
     fn count_warm(&mut self, mem: &[MemRun], tally: &mut PassTally) {
-        let Self { levels, served } = self;
+        let Self { levels, served, .. } = self;
         for c in levels.iter_mut().flat_map(|level| &mut level.sets) {
             (c.arrived, c.seen) = (0, 0);
         }
@@ -596,8 +730,8 @@ fn replay_mem_counted(
         }
         last = match counted.as_mut() {
             Some(plan) if pass < 2 => {
-                memo.passes_counted += 1;
-                plan.pass(pass, tlb, hierarchy, mem)
+                memo.counted.passes += 1;
+                plan.pass(pass, tlb, hierarchy, mem, &mut memo.counted)
             }
             _ => drive(tlb, hierarchy, mem),
         };
@@ -1080,22 +1214,26 @@ mod tests {
     }
 
     /// Replays `mem` through the reference and through [`replay_mem`], each
-    /// on fresh units of geometry `(t, h)` after the same `warm` reads, and
-    /// asserts that penalties, statistics, canonical state and later probes
-    /// agree. Returns the passes the engine counted.
+    /// on fresh units of geometry `(t, h)` after the same `warm` reads and
+    /// the same `tlb_warm` translations, and asserts that penalties,
+    /// statistics, canonical state and later probes agree. Returns the
+    /// engine's counted-pass counters.
     fn assert_matches_reference(
         t: TlbConfig,
         h: HierarchyConfig,
-        warm: &[u64],
+        (warm, tlb_warm): (&[u64], &[u64]),
         mem: &[MemRun],
         trips: u64,
-    ) -> u64 {
+    ) -> CountedStats {
         let timing = TimingConfig::default_sim();
         let units = || {
             let (mut tlb, mut hier) = (Tlb::new(t), Hierarchy::new(h));
             for &addr in warm {
                 tlb.translate(addr);
                 hier.access(addr, AccessKind::Read);
+            }
+            for &addr in tlb_warm {
+                tlb.translate(addr);
             }
             (tlb, hier)
         };
@@ -1121,7 +1259,7 @@ mod tests {
             assert_eq!(level, hier_b.access(addr, AccessKind::Read), "{tag}: probe {addr:#x}");
             assert_eq!(tlb_a.translate(addr), tlb_b.translate(addr), "{tag}: TLB probe {addr:#x}");
         }
-        memo.passes_counted()
+        memo.counted()
     }
 
     /// Seeded xorshift draws for the randomized tests.
@@ -1176,6 +1314,12 @@ mod tests {
         // and one that overflows them.
         let mut fits = [false; 3];
         let mut overflows = [false; 3];
+        // Over the cases that count pass 1: whether each shortcut — the
+        // TLB fill point, the thrash rule, and each level's kept rows —
+        // was taken (index 1) and was not (index 0) in some case.
+        let mut tlb_settled = [false; 2];
+        let mut thrashed = [false; 2];
+        let mut kept = [[false; 2]; 3];
         let mut counted_cases = 0;
         for seed in 1..=400u64 {
             let mut draw = Draw(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -1203,9 +1347,9 @@ mod tests {
             };
             let mem = distinct_stream(&mut draw, line, dense, sparse);
             let trips = 1 + draw.next(4);
-            let counted = assert_matches_reference(t, h, &[], &mem, trips);
+            let counted = assert_matches_reference(t, h, (&[], &[]), &mem, trips);
             let qualifies = dense + sparse >= COLLAPSE_MIN_ACCESSES;
-            assert_eq!(counted, if qualifies { trips.min(2) } else { 0 }, "seed {seed}");
+            assert_eq!(counted.passes, if qualifies { trips.min(2) } else { 0 }, "seed {seed}");
             if qualifies {
                 counted_cases += 1;
                 for (i, cfg) in [l1, l2, l3].into_iter().enumerate() {
@@ -1215,9 +1359,62 @@ mod tests {
                     overflows[i] |= pop.iter().any(|&p| p > ways);
                 }
             }
+            if counted.passes == 2 {
+                tlb_settled[counted.tlb_passes_settled as usize] = true;
+                thrashed[counted.passes_thrashed as usize] = true;
+                for (seen, &n) in kept.iter_mut().zip(&counted.rows_kept) {
+                    seen[n as usize] = true;
+                }
+            }
         }
         assert!(counted_cases >= 250, "only {counted_cases} cases took the counted path");
         assert_eq!((fits, overflows), ([true; 3], [true; 3]), "set populations on both sides of W");
+        assert_eq!((tlb_settled, thrashed), ([true; 2], [true; 2]), "TLB fill point, thrash");
+        // L1 keeps its rows in every counted pass 1; L2 and L3 both ways.
+        assert_eq!(kept, [[false, true], [true; 2], [true; 2]], "kept rows per level");
+    }
+
+    #[test]
+    fn each_pass_one_shortcut_is_taken_and_skipped_where_it_should_be() {
+        let t = TlbConfig { entries: 16, associativity: 4, page_bytes: 4096 };
+        let h = hierarchy_with(ReplacementPolicy::Lru, false);
+        // 4096 lines over 64 pages; L3 holds 1024 lines, so every set of
+        // every level holds more stream lines than its ways.
+        let memory = chase(4096, 9);
+        let pages: Vec<u64> = (0..16u64).map(|p| (1 << 30) + p * 4096).collect();
+        // L1 4 KiB, L2 256 KiB with 4 lines per set, L3 1 MiB: the
+        // stream thrashes L1 and fits L2.
+        let l2_sized = HierarchyConfig {
+            l2: CacheConfig::new(256 * 1024, 64, 8),
+            l3: CacheConfig::new(1024 * 1024, 64, 16),
+            ..h
+        };
+        // 256 sets at every level, 8, 4 and 2 ways: 2048 consecutive lines
+        // put exactly 8 in every set, which fits L1 but not L2 or L3.
+        let l1_full = HierarchyConfig {
+            l1: CacheConfig::new(128 * 1024, 64, 8),
+            l2: CacheConfig::new(64 * 1024, 64, 4),
+            l3: CacheConfig::new(32 * 1024, 64, 2),
+            ..h
+        };
+        let huge_pages = TlbConfig { page_bytes: 1 << 20, ..t };
+        // Three trips count passes 0 and 1; one counts pass 0 alone.
+        let check = |name, (t, h), tlb_warm, run, trips, (tlb, thrashed, kept)| {
+            let counted = assert_matches_reference(t, h, (&[], tlb_warm), &[run], trips);
+            let expected = CountedStats {
+                passes: trips.min(2),
+                tlb_passes_settled: tlb,
+                passes_thrashed: thrashed,
+                rows_kept: kept,
+            };
+            assert_eq!(counted, expected, "{name}");
+        };
+        check("a memory-sized stream", (t, h), &[], memory.clone(), 3, (1, 1, [1, 1, 1]));
+        check("a pre-warmed TLB", (t, h), &pages, memory.clone(), 3, (0, 1, [1, 1, 1]));
+        check("too few pages for the TLB", (huge_pages, h), &[], memory, 3, (0, 1, [1, 1, 1]));
+        check("an L2-sized stream", (t, l2_sized), &[], chase(2048, 5), 3, (1, 0, [1, 1, 0]));
+        check("W lines per L1 set", (t, l1_full), &[], chase(2048, 3), 3, (1, 0, [1, 0, 0]));
+        check("a single trip", (t, h), &[], chase(4096, 7), 1, (0, 0, [0, 0, 0]));
     }
 
     #[test]
@@ -1226,7 +1423,8 @@ mod tests {
         let h = hierarchy_with(ReplacementPolicy::Lru, false);
         let chain = chase(4096, 9);
         // The stream every case below departs from counts both passes.
-        assert_eq!(assert_matches_reference(t, h, &[], std::slice::from_ref(&chain), 3), 2);
+        let counted = assert_matches_reference(t, h, (&[], &[]), std::slice::from_ref(&chain), 3);
+        assert_eq!(counted.passes, 2);
         let mut repeated = chain.clone();
         repeated.addrs.push(repeated.addrs[0] + 8);
         let plru = CacheConfig::with_policy(16 * 1024, 64, 8, ReplacementPolicy::TreePlru);
@@ -1247,7 +1445,8 @@ mod tests {
             ("a span beyond the bitmap bound", h, &[], wide),
         ];
         for (name, h, warm, run) in cases {
-            assert_eq!(assert_matches_reference(t, h, warm, &[run], 3), 0, "{name}");
+            let counted = assert_matches_reference(t, h, (warm, &[]), &[run], 3);
+            assert_eq!(counted, CountedStats::default(), "{name}");
         }
     }
 }

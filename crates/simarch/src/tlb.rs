@@ -124,6 +124,24 @@ impl Tlb {
         self.cfg.associativity as usize
     }
 
+    /// Whether no slot holds a translation.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.vpns.iter().all(|&vpn| vpn == EMPTY)
+    }
+
+    /// Whether every slot holds a translation. Valid slots are a prefix of
+    /// each set, so each set's last slot decides.
+    pub(crate) fn is_full(&self) -> bool {
+        let ways = self.ways();
+        self.vpns.iter().skip(ways - 1).step_by(ways).all(|&vpn| vpn != EMPTY)
+    }
+
+    /// The slot rows, `set * ways + slot`. Each set must stay a prefix of
+    /// distinct VPNs, most recent first, then [`EMPTY`] slots.
+    pub(crate) fn rows_mut(&mut self) -> &mut [u64] {
+        &mut self.vpns
+    }
+
     /// Appends the behavioral state: the slot row itself, valid VPNs most
     /// recent first in each set. The TLB is always true-LRU, so its
     /// canonical form needs no policy branch — contrast with
