@@ -13,7 +13,7 @@
 //! repro ablate-median        # per-thread median suppression (A3)
 //! repro dtlb                 # extension domain: data-TLB metrics
 //! repro dstore               # extension domain: store-path (RFO) metrics
-//! repro perf                 # BENCH_{pipeline,linalg,obs}.json snapshots
+//! repro perf                 # BENCH_obs.json performance snapshot
 //! ```
 //!
 //! Add `--fast` for a down-scaled run and `--out DIR` to also write
@@ -280,19 +280,9 @@ fn main() {
     if cmd == "perf" {
         // Re-runs every domain under a trace collector; not part of `all`
         // because the domains above already ran once without tracing.
-        let snapshot = h.perf_snapshot(opts.scale).expect("perf snapshot");
+        let snapshot = catalyze_bench::perf::snapshot(&h, opts.scale).expect("perf snapshot");
         print!("{snapshot}");
-        write_out(&opts, "BENCH_pipeline.json", &snapshot);
-        let linalg = catalyze_bench::linalg_perf::linalg_snapshot(opts.scale);
-        print!("{linalg}");
-        write_out(&opts, "BENCH_linalg.json", &linalg);
-        let sim = catalyze_bench::sim_perf::sim_snapshot(opts.scale);
-        print!("{sim}");
-        write_out(&opts, "BENCH_sim.json", &sim);
-        let obs =
-            h.obs_snapshot(opts.scale, Harness::obs_repeats(opts.scale)).expect("obs snapshot");
-        print!("{obs}");
-        write_out(&opts, "BENCH_obs.json", &obs);
+        write_out(&opts, "BENCH_obs.json", &snapshot);
     }
     if all || cmd == "ablate-median" {
         let ab = ablations::median_ablation(&h);

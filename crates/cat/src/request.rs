@@ -92,7 +92,7 @@ pub enum SimEngine {
     /// Record each kernel once as a `KernelTrace` and replay it, with
     /// sweep points simulated in parallel — the default, and bit-identical
     /// to [`SimEngine::Direct`] (pinned by the engine-parity tests and the
-    /// `BENCH_sim.json` CI gate).
+    /// `perf.engine_mismatches` counter of the `repro perf` CI gate).
     #[default]
     Replay,
     /// Sequential direct execution of every dynamic instruction — the

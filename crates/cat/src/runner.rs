@@ -28,7 +28,7 @@
 //! trace (warmup and measurement phases alike), and it also
 //! parallelizes the per-repetition counter reads; the `Direct` engine
 //! executes every dynamic instruction sequentially and is kept as the
-//! reference path for parity tests and the `BENCH_sim` speedup gate. Both
+//! reference path for parity tests and the `repro perf` engine rows. Both
 //! produce bit-identical [`MeasurementSet`]s — the noise streams are keyed
 //! by `(event, repetition, point, group)`, never by wall-clock or thread
 //! identity.

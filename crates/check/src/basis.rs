@@ -9,13 +9,15 @@
 //! | B004 | Error    | all-zero expectation column |
 //! | B005 | Error    | two identical expectation columns |
 //! | B006 | Error    | row count disagrees with the kernel space |
-//! | B007 | Error    | numerically rank-deficient basis (SVD) |
+//! | B007 | Error    | rank-deficient basis: fewer points than expectations, or a numerical rank (SVD) below the width |
 //! | B008 | Warning  | condition number above `CONDITION_LIMIT` |
 //! | B009 | Error    | non-finite entry in the basis matrix |
+//! | B010 | Warning  | point that excites no expectation (all-zero row) |
+//! | B011 | Warning  | nonzero column norms spanning more than `SCALE_SPREAD_LIMIT` |
 
 use crate::diag::{Diagnostic, Severity};
 use catalyze::basis::Basis;
-use catalyze_linalg::singular_values;
+use catalyze_linalg::{singular_values, vector};
 
 /// Condition-number ceiling above which B008 fires. Least squares in f64
 /// loses roughly `log10(cond)` digits; 1e8 leaves half the mantissa.
@@ -23,6 +25,11 @@ pub(crate) const CONDITION_LIMIT: f64 = 1e8;
 
 /// Relative tolerance for the SVD rank decision in B007.
 pub(crate) const RANK_REL_TOL: f64 = 1e-10;
+
+/// Largest-to-smallest nonzero column-norm ratio above which B011 fires:
+/// the normalization least squares becomes scale-dominated, the failure
+/// mode §II ascribes to raw cycles-vs-FLOPs magnitudes.
+pub(crate) const SCALE_SPREAD_LIMIT: f64 = 1e3;
 
 /// Validates one expectation basis. `name` labels the diagnostics;
 /// `expected_rows` is the measurement-point count declared by the
@@ -128,21 +135,33 @@ pub fn check_basis(name: &str, basis: &Basis, expected_rows: Option<usize>) -> V
         }
     }
 
-    // B007 / B008: numerical rank and conditioning. Skip when structural
-    // errors already guarantee deficiency (zero/duplicate columns).
+    // B007 / B008: rank and conditioning. A basis with fewer points than
+    // expectations can never have full column rank. Otherwise skip the SVD
+    // when structural errors already guarantee deficiency (zero/duplicate
+    // columns).
+    let (rows, cols) = (basis.matrix.rows(), basis.matrix.cols());
     let structurally_singular = out.iter().any(|d| d.rule == "B004" || d.rule == "B005");
-    if basis.matrix.rows() >= basis.matrix.cols() && !structurally_singular {
+    if rows < cols {
+        out.push(
+            Diagnostic::new(
+                "B007",
+                Severity::Error,
+                loc("shape".to_string()),
+                format!("{rows} points cannot determine {cols} expectations"),
+            )
+            .with_suggestion("add measurement points or drop expectations"),
+        );
+    } else if !structurally_singular {
         match singular_values(&basis.matrix) {
             Ok(svd) => {
                 let rank = svd.rank(RANK_REL_TOL);
-                if rank < basis.matrix.cols() {
+                if rank < cols {
                     out.push(Diagnostic::new(
                         "B007",
                         Severity::Error,
                         loc("matrix".to_string()),
                         format!(
-                            "numerical rank {rank} below dimension {} (rel tol {RANK_REL_TOL:e})",
-                            basis.matrix.cols()
+                            "numerical rank {rank} below dimension {cols} (rel tol {RANK_REL_TOL:e})"
                         ),
                     ));
                 } else {
@@ -169,6 +188,45 @@ pub fn check_basis(name: &str, basis: &Basis, expected_rows: Option<usize>) -> V
                 format!("SVD failed: {e}"),
             )),
         }
+    }
+
+    // B010: points that excite no expectation add rows of zeros that only
+    // dilute the least-squares fit.
+    let mut dead = vec![true; rows];
+    for j in 0..cols {
+        for (d, &v) in dead.iter_mut().zip(basis.matrix.col(j)) {
+            // lint: allow(float_cmp): a dead point's row is exactly zero, not approximately
+            *d &= v == 0.0;
+        }
+    }
+    for (p, _) in dead.iter().enumerate().filter(|(_, &d)| d) {
+        out.push(
+            Diagnostic::new(
+                "B010",
+                Severity::Warning,
+                loc(format!("row {p}")),
+                "point excites no expectation",
+            )
+            .with_suggestion("drop the point or fix its expected counts"),
+        );
+    }
+
+    // B011: column scales. All-zero columns are B004's finding.
+    let norms = (0..cols).map(|j| vector::norm2(basis.matrix.col(j))).filter(|&n| n > 0.0);
+    let (min, max) = norms.fold((f64::INFINITY, 0.0f64), |(lo, hi), n| (lo.min(n), hi.max(n)));
+    if max / min > SCALE_SPREAD_LIMIT {
+        out.push(
+            Diagnostic::new(
+                "B011",
+                Severity::Warning,
+                loc("matrix".to_string()),
+                format!(
+                    "expectation norms span a {:.0}x range, above {SCALE_SPREAD_LIMIT:e}",
+                    max / min
+                ),
+            )
+            .with_suggestion("normalize the expectations to comparable magnitudes"),
+        );
     }
 
     out
@@ -237,6 +295,60 @@ mod tests {
     fn scaled_duplicate_is_rank_deficient_b007() {
         let b = basis(&["a", "b"], &[vec![1.0, 2.0, 3.0], vec![2.0, 4.0, 6.0]]);
         assert!(rules(&check_basis("t", &b, None)).contains(&"B007"));
+    }
+
+    #[test]
+    fn detects_rank_deficiency() {
+        // Second column is twice the first.
+        let b = basis(&["A", "B"], &[vec![1.0, 2.0, 3.0], vec![2.0, 4.0, 6.0]]);
+        let ds = check_basis("t", &b, None);
+        assert_eq!(rules(&ds), vec!["B007"]);
+        assert!(ds[0].message.contains("numerical rank 1 below dimension 2"), "{ds:?}");
+    }
+
+    #[test]
+    fn detects_too_few_points() {
+        // Two points cannot determine three expectations, however
+        // independent the rows look.
+        let b = basis(&["A", "B", "C"], &[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
+        let ds = check_basis("t", &b, Some(2));
+        assert_eq!(rules(&ds), vec!["B007"]);
+        assert_eq!(ds[0].severity, Severity::Error);
+        assert!(ds[0].message.contains("2 points cannot determine 3 expectations"), "{ds:?}");
+    }
+
+    #[test]
+    fn detects_empty_expectation_and_dead_point() {
+        let b = basis(&["A", "EMPTY"], &[vec![1.0, 0.0, 2.0], vec![0.0, 0.0, 0.0]]);
+        let ds = check_basis("t", &b, None);
+        assert_eq!(rules(&ds), vec!["B004", "B010"]);
+        assert!(ds[0].location.contains("column 1 (EMPTY)"), "{ds:?}");
+        assert_eq!(ds[1].severity, Severity::Warning);
+        assert!(ds[1].location.ends_with("row 1"), "{ds:?}");
+    }
+
+    #[test]
+    fn detects_scale_spread() {
+        let b = basis(&["CYCLES", "FLOPS"], &[vec![1e6, 0.0, 1e6], vec![1.0, 1.0, 0.0]]);
+        let ds = check_basis("t", &b, None);
+        assert_eq!(rules(&ds), vec!["B011"]);
+        assert_eq!(ds[0].severity, Severity::Warning);
+    }
+
+    #[test]
+    fn builtin_bases_are_sound() {
+        use catalyze::basis::{self, CacheRegion};
+        let regions = [CacheRegion::L1, CacheRegion::L2, CacheRegion::L3, CacheRegion::Memory];
+        for (name, b) in [
+            ("cpu-flops", basis::cpu_flops_basis()),
+            ("branch", basis::branch_basis()),
+            ("gpu-flops", basis::gpu_flops_basis()),
+            ("dcache", basis::dcache_basis(&regions)),
+            ("dtlb", basis::dtlb_basis(&[true, false])),
+        ] {
+            let ds = check_basis(name, &b, None);
+            assert!(ds.is_empty(), "{name}: {ds:?}");
+        }
     }
 
     #[test]

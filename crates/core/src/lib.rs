@@ -63,7 +63,6 @@ pub mod plot;
 pub mod report;
 pub mod select;
 pub mod signature;
-pub mod validate_basis;
 
 pub use basis::{Basis, CacheRegion};
 pub use catalyze_linalg::LinalgError;
@@ -74,7 +73,6 @@ pub use normalize::Representation;
 pub use pipeline::{AnalysisConfig, AnalysisReport, AnalysisRequest};
 pub use select::Selection;
 pub use signature::MetricSignature;
-pub use validate_basis::{validate_basis, BasisIssue};
 
 /// Serializes the unit tests that run counted linalg kernels. The kernel
 /// counters are process-wide, so a test asserting exact per-stage counts

@@ -171,8 +171,8 @@ impl TraceCollector {
     /// Key order is fixed, counters are sorted by name, spans and funnel
     /// records appear in recording order, and a still-open span renders
     /// `"duration_ns": null`. The schema carries a `version` field so
-    /// downstream consumers (CI validation, `BENCH_pipeline.json`
-    /// trajectories) can evolve with it.
+    /// downstream consumers (CI validation, `--trace` files kept across
+    /// runs) can evolve with it.
     pub fn render_json(&self) -> String {
         let inner = self.inner.borrow();
         let mut out = String::from("{\n  \"version\": 1,\n  \"spans\": [");

@@ -46,14 +46,12 @@ mod expo;
 mod histogram;
 mod json;
 mod registry;
-mod shared;
 
 pub use collector::{SpanRecord, TraceCollector};
 pub use diff::{diff, DiffConfig, DiffReport, Snapshot};
 pub use expo::{render_exposition, render_metrics_json};
 pub use histogram::{Histogram, NUM_BUCKETS};
 pub use registry::{FunnelAggregate, MetricsRegistry};
-pub use shared::SharedObserver;
 
 /// Opaque handle to a started span, returned by [`Observer::span_start`]
 /// and consumed by [`Observer::span_end`].

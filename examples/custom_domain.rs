@@ -91,7 +91,7 @@ fn int_signatures() -> Vec<MetricSignature> {
 
 fn main() {
     // Lint the hand-built basis before trusting anything downstream.
-    let issues = catalyze::validate_basis(&int_basis());
+    let issues = catalyze_check::check_basis("integer-alu", &int_basis(), Some(KERNELS.len() * 3));
     assert!(issues.is_empty(), "basis problems: {issues:?}");
 
     let set = sapphire_rapids_like();
