@@ -118,6 +118,16 @@ pub enum ConfigError {
     ZeroGpuDevices,
     /// `dcache_threads == 0`: the per-thread median would be over nothing.
     ZeroDcacheThreads,
+    /// More than 310 repetitions on two or more data-cache threads: the
+    /// threads' noise run keys overlap, so a later thread's first
+    /// repetitions would reuse an earlier thread's noise streams and the
+    /// per-thread median would see duplicated noise.
+    ThreadNoiseKeysAlias {
+        /// The configured repetitions.
+        repetitions: usize,
+        /// The configured data-cache threads.
+        threads: usize,
+    },
     /// The longest chain of the dcache or dtlb chase sweep for this core
     /// has more than `u32::MAX` slots, which the chase builders' `u32`
     /// permutation cannot index (its address vector alone would exceed
@@ -140,6 +150,12 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroGpuWavefronts => write!(f, "gpu_wavefronts must be at least 1"),
             ConfigError::ZeroGpuDevices => write!(f, "gpu_devices must be at least 1"),
             ConfigError::ZeroDcacheThreads => write!(f, "dcache_threads must be at least 1"),
+            ConfigError::ThreadNoiseKeysAlias { repetitions, threads } => write!(
+                f,
+                "{repetitions} repetitions on {threads} dcache threads reuse noise streams \
+                 across threads; at most {} repetitions fit",
+                runner::MAX_THREADED_REPETITIONS
+            ),
             ConfigError::ChaseChainTooLong { slots } => {
                 write!(f, "the longest chase chain has {slots} slots, more than {}", u32::MAX)
             }
@@ -209,6 +225,12 @@ impl RunnerConfig {
         }
         if self.dcache_threads == 0 {
             return Err(ConfigError::ZeroDcacheThreads);
+        }
+        if self.dcache_threads >= 2 && self.repetitions > runner::MAX_THREADED_REPETITIONS {
+            return Err(ConfigError::ThreadNoiseKeysAlias {
+                repetitions: self.repetitions,
+                threads: self.dcache_threads,
+            });
         }
         let pointers = dcache::sweep(&self.core.hierarchy).into_iter().map(|c| c.pointers);
         let slots = dtlb::sweep(&self.core.tlb).into_iter().map(|c| c.slots());
@@ -424,6 +446,26 @@ mod tests {
             RunnerConfig::builder().dcache_threads(0).build().unwrap_err(),
             ConfigError::ZeroDcacheThreads
         );
+    }
+
+    #[test]
+    fn thread_noise_keys_must_not_alias() {
+        // Thread 1 reads under key offset 31_000_000 = 310 repetitions of
+        // 100_000 keys: its repetition 0 would reuse thread 0's 310th.
+        let threaded = |repetitions| {
+            RunnerConfig::builder().repetitions(repetitions).dcache_threads(2).build()
+        };
+        assert!(threaded(310).is_ok());
+        let alias = ConfigError::ThreadNoiseKeysAlias { repetitions: 311, threads: 2 };
+        assert_eq!(threaded(311).unwrap_err(), alias);
+        assert!(alias.to_string().contains("at most 310 repetitions"), "{alias}");
+        // One thread has no other thread's keys to collide with.
+        let single = RunnerConfig::builder().repetitions(311).dcache_threads(1).build();
+        assert!(single.is_ok());
+        let set = sapphire_rapids_like();
+        let cfg = RunnerConfig { repetitions: 311, dcache_threads: 2, ..RunnerConfig::fast_test() };
+        let request = SimRequest::new().domain(Domain::Dcache).events(&set).config(&cfg);
+        assert_eq!(request.run().unwrap_err(), RunError::InvalidConfig(alias));
     }
 
     #[test]

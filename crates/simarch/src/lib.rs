@@ -54,7 +54,7 @@ pub use events_zen::zen_like;
 pub use gpu::{mi250x_like, GpuConfig, GpuDevice, GpuEventSet, GpuKernel, GpuStats};
 pub use hierarchy::{HierarchyConfig, MemLevel};
 pub use isa::{FpKind, Instruction, IntKind, Precision, VecWidth};
-pub use noise::NoiseModel;
+pub use noise::{NoiseModel, Reading};
 pub use pmu::{CpuPmu, PmuConfig};
 pub use program::{Block, Item, Program};
 pub use stream::{CountedStats, StreamStats};
