@@ -42,7 +42,7 @@ use catalyze_obs::{Observer, Span};
 use catalyze_sim::gpu::GpuEventDef;
 use catalyze_sim::{
     CoreConfig, CountedStats, Cpu, CpuEventDef, CpuEventSet, CpuPmu, ExecStats, GpuConfig,
-    GpuDevice, GpuEventSet, GpuStats, KernelTrace, PmuConfig, Program, Reading, StreamStats,
+    GpuDevice, GpuEventSet, GpuStats, KernelTrace, PmuConfig, Program, RowReader, StreamStats,
 };
 use rayon::prelude::*;
 
@@ -172,50 +172,48 @@ fn record_engine_counters(obs: &dyn Observer, engine: SimEngine, counts: EngineC
     obs.counter("stream.rows_kept", counts.counted.rows_kept.iter().sum());
 }
 
-/// Reads every event at every point of a sweep, for each repetition,
-/// straight into the `[rep][event][point]` layout, normalized by
-/// `norms[point]`. Also returns how many reads ran the full noise
-/// transform.
+/// Reads every event at every point of each thread's share of a sweep,
+/// for each repetition, straight into one `[rep][event][point]` layout per
+/// thread, normalized by `norms[point]`. Also returns how many reads ran
+/// the full noise transform.
 ///
-/// `truths[e][p]` is event `e`'s true count at point `p`, evaluated once
-/// for all repetitions; `reader(e)` is the PMU's read-back of event `e`,
-/// built once per (repetition, event) cell: `read(truth, run)` under run
-/// key `run`. Reads are pure functions of the run key, so the cells
-/// proceed in parallel; each counts its own full draws, summed after the
-/// cells join. `key_offset` separates noise streams that share a sweep
-/// (the per-thread cache chases).
-fn read_runs<R, O>(
-    truths: &[Vec<f64>],
+/// `truths[t][e][p]` is event `e`'s true count at thread `t`'s point `p`,
+/// evaluated once for all repetitions; `reader(e)` is the PMU's row reader
+/// of event `e`. Each (thread, repetition, event) cell is one row read,
+/// thread `t` under run keys `run_key(rep, p) + t * THREAD_KEY_STRIDE`.
+/// Reads are pure functions of the run key, so the cells of all threads
+/// proceed in one parallel section; each counts its own full draws,
+/// summed after the cells join.
+fn read_runs<R>(
+    truths: &[Vec<Vec<f64>>],
     norms: &[f64],
     repetitions: usize,
-    key_offset: usize,
     reader: R,
-) -> (Runs, u64)
+) -> (Vec<Runs>, u64)
 where
-    R: Fn(usize) -> O + Sync,
-    O: Fn(f64, usize) -> Reading,
+    R: Fn(usize) -> RowReader + Sync,
 {
-    let cells: Vec<(usize, usize)> =
-        (0..repetitions).flat_map(|rep| (0..truths.len()).map(move |e| (rep, e))).collect();
+    let events = truths.first().map_or(0, Vec::len);
+    let cells: Vec<(usize, usize, usize)> = (0..truths.len())
+        .flat_map(|t| (0..repetitions).flat_map(move |rep| (0..events).map(move |e| (t, rep, e))))
+        .collect();
     let rows: Vec<(Vec<f64>, u64)> = cells
         .par_iter()
-        .map(|&(rep, e)| {
-            let (read, mut draws) = (reader(e), 0);
-            let counts = truths[e].iter().zip(norms).enumerate();
-            let row = counts
-                .map(|(p, (&truth, &n))| {
-                    let reading = read(truth, run_key(rep, p) + key_offset);
-                    draws += u64::from(reading.full_draw);
-                    reading.value / n
-                })
-                .collect();
+        .map(|&(t, rep, e)| {
+            let mut row = vec![0.0; norms.len()];
+            let offset = t * THREAD_KEY_STRIDE;
+            let draws = reader(e).read(&truths[t][e], |p| run_key(rep, p) + offset, &mut row);
+            for (value, n) in row.iter_mut().zip(norms) {
+                *value /= n;
+            }
             (row, draws)
         })
         .collect();
     let draws = rows.iter().map(|&(_, d)| d).sum();
     let mut rows = rows.into_iter().map(|(row, _)| row);
-    let runs = (0..repetitions).map(|_| rows.by_ref().take(truths.len()).collect()).collect();
-    (runs, draws)
+    let mut runs = || rows.by_ref().take(events).collect();
+    let per_thread = truths.iter().map(|_| (0..repetitions).map(|_| runs()).collect()).collect();
+    (per_thread, draws)
 }
 
 /// One domain's sweep descriptor: what [`measure`] simulates at each
@@ -269,9 +267,8 @@ trait Platform: Sync {
     /// An event's true count at a point.
     fn truth(&self, event: &Self::Event, stats: &Self::Stats) -> f64;
 
-    /// The PMU's read-back of an event: `read(truth, run)` with true count
-    /// `truth` under run key `run`.
-    fn reader(&self, event: &Self::Event) -> impl Fn(f64, usize) -> Reading;
+    /// The PMU's row reader of an event.
+    fn reader(&self, event: &Self::Event) -> RowReader;
 }
 
 /// The CPU platform: a fresh core per point on the request's engine, and
@@ -352,7 +349,7 @@ impl<'a> Platform for Core<'a> {
         def.true_count(stats)
     }
 
-    fn reader(&self, &(id, def, group): &Self::Event) -> impl Fn(f64, usize) -> Reading {
+    fn reader(&self, &(id, def, group): &Self::Event) -> RowReader {
         self.pmu.cpu_reader(def, id, group)
     }
 }
@@ -401,7 +398,7 @@ impl<'a> Platform for Node<'a> {
         self.set.and_then(|set| set.true_count(id, devices)).unwrap_or(0.0)
     }
 
-    fn reader(&self, &(id, def, pos): &Self::Event) -> impl Fn(f64, usize) -> Reading {
+    fn reader(&self, &(id, def, pos): &Self::Event) -> RowReader {
         self.pmu.gpu_reader(def, id, pos)
     }
 }
@@ -471,22 +468,15 @@ where
     };
     let _s = Span::enter(obs, "read-counters");
     let events = platform.events();
-    let threads = stats.chunks(sweep.norms.len()).enumerate();
-    let mut draws = 0;
-    let runs = threads
-        .map(|(thread, stats)| {
-            let truths: Vec<Vec<f64>> = events
-                .iter()
-                .map(|event| stats.iter().map(|s| platform.truth(event, s)).collect())
-                .collect();
-            let offset = thread * THREAD_KEY_STRIDE;
-            let (runs, thread_draws) = read_runs(&truths, &sweep.norms, repetitions, offset, |e| {
-                platform.reader(&events[e])
-            });
-            draws += thread_draws;
-            runs
+    let truths: Vec<Vec<Vec<f64>>> = stats
+        .chunks(sweep.norms.len())
+        .map(|stats| {
+            let truth = |event| stats.iter().map(|s| platform.truth(event, s)).collect();
+            events.iter().map(truth).collect()
         })
         .collect();
+    let (runs, draws) =
+        read_runs(&truths, &sweep.norms, repetitions, |e| platform.reader(&events[e]));
     obs.counter("pmu.noise_draws", draws);
     runs
 }

@@ -46,20 +46,28 @@ impl NoiseModel {
     /// Applies the model to a true count, clamping at zero (counters never
     /// go negative).
     pub fn apply(&self, true_count: f64, rng: &mut impl Rng) -> f64 {
+        let g = if self.is_exact() { 0.0 } else { gaussian(rng) };
+        self.read_back(true_count, g)
+    }
+
+    /// The model's read-back of a true count given the standard normal
+    /// draw `g`, clamped at zero: the one formula behind [`Self::apply`]
+    /// and [`EventNoise::read_row`]. `None` ignores `g`.
+    fn read_back(&self, true_count: f64, g: f64) -> f64 {
         let v = match *self {
             NoiseModel::None => true_count,
-            NoiseModel::Multiplicative { sigma } => true_count * (1.0 + sigma * gaussian(rng)),
-            NoiseModel::Additive { scale } => true_count + scale * gaussian(rng).abs(),
-            NoiseModel::Unrelated { mean, spread } => mean * (1.0 + spread * gaussian(rng)),
+            NoiseModel::Multiplicative { sigma } => true_count * (1.0 + sigma * g),
+            NoiseModel::Additive { scale } => true_count + scale * g.abs(),
+            NoiseModel::Unrelated { mean, spread } => mean * (1.0 + spread * g),
         };
         v.max(0.0)
     }
 
     /// Binds this model to event `event`'s noise streams under `seed`;
-    /// [`EventNoise::observe`] then reads one count per run key. It works
-    /// out once what a `+0.0` count needs, so a sweep builds one per row
-    /// of reads.
-    pub fn for_event(&self, seed: u64, event: usize) -> EventNoise {
+    /// [`EventNoise::read_row`] then reads a row of counts, one per run
+    /// key. It works out once what a `+0.0` count needs, so a sweep builds
+    /// one per row of reads.
+    pub(crate) fn for_event(&self, seed: u64, event: usize) -> EventNoise {
         let zero = match *self {
             NoiseModel::Multiplicative { sigma } if sigma.abs() * 38.0 < 1.0 => ZeroRead::Settled,
             NoiseModel::Multiplicative { sigma } => {
@@ -77,10 +85,12 @@ impl NoiseModel {
 }
 
 /// A [`NoiseModel`] bound to one event's noise streams (see
-/// [`NoiseModel::for_event`]).
+/// [`NoiseModel::for_event`]). [`EventNoise::read_row`] reads a row of
+/// counts in two phases: the first seeds each read's stream and draws its
+/// uniforms, the second runs Box–Muller and the model's formula over the
+/// reads that need them.
 #[derive(Debug, Clone, Copy)]
-// lint: allow(dead_api): the return type of the public `NoiseModel::for_event`; callers use it unnamed
-pub struct EventNoise {
+pub(crate) struct EventNoise {
     model: NoiseModel,
     seed: u64,
     event: usize,
@@ -89,7 +99,7 @@ pub struct EventNoise {
 }
 
 /// What a `+0.0` count needs before it reads back `+0.0` without the full
-/// transform (see [`EventNoise::observe`]).
+/// transform (see [`EventNoise::read_row`]).
 #[derive(Debug, Clone, Copy)]
 enum ZeroRead {
     /// Nothing: `Multiplicative` with `|sigma| * 38 < 1`.
@@ -100,11 +110,15 @@ enum ZeroRead {
     Drawn,
 }
 
+/// Reads per phase of [`EventNoise::read_row`]: a row is read in windows
+/// of this many counts, whose pending draws wait in a stack buffer.
+const CHUNK: usize = 64;
+
 impl EventNoise {
-    /// [`NoiseModel::apply`] with the stream of `event_rng(seed, event,
-    /// run)`, bit for bit, running the full transform only when the value
-    /// can depend on it; otherwise it returns `truth.max(0.0)`. The value
-    /// does not depend on the draw for:
+    /// Reads a row of counts: `out[i]` becomes [`NoiseModel::apply`] of
+    /// `truths[i]` with the stream of `event_rng(seed, event, run(i))`, bit
+    /// for bit. Returns how many reads ran the full transform; the rest
+    /// settle to `truth.max(0.0)` because their value cannot depend on it:
     ///
     /// * `None`, which seeds nothing;
     /// * `Multiplicative` on a `+0.0` count with `|sigma| * 38 < 1`, which
@@ -123,8 +137,7 @@ impl EventNoise {
     ///   there `-2 ln floor` is at least `2 ln 2`, while as the floor
     ///   nears 1 its own rounding alone is a growing share of `-2 ln
     ///   floor`. A wider, NaN or infinite sigma therefore always runs the
-    ///   full transform, and so does a `u` below the floor, on a freshly
-    ///   seeded stream, which gives `apply`'s bits by construction.
+    ///   full transform, and so does a `u` below the floor.
     ///
     /// A wider factor can turn negative and the product `-0.0`, and then
     /// the clamp's choice between the two zeros decides the sign bit. For
@@ -132,38 +145,63 @@ impl EventNoise {
     /// `+0.0` whatever the draw, but no sweep produces one, so it takes the
     /// general path rather than a rule of its own.
     ///
-    /// Every stream is seeded from its own triple, so a skipped draw moves
-    /// no other value.
-    pub fn observe(&self, truth: f64, run: usize) -> Reading {
-        let settled = Reading { value: truth.max(0.0), full_draw: false };
-        let rng = || event_rng(self.seed, self.event, run);
+    /// The row is read in windows of [`CHUNK`] counts. Phase one walks a
+    /// window, settles what it can, and for every other read seeds its
+    /// stream and draws `u` then the angle `v` into the buffer, as
+    /// [`gaussian`] would. Phase two evaluates Box–Muller and the model's
+    /// formula over the buffered reads. Every stream is seeded from its
+    /// own triple, so neither a skipped draw nor the order of the work
+    /// moves any value; keeping the `cos` calls out of the seeding loop
+    /// keeps their mispredicted branches from discarding the next reads'
+    /// integer work.
+    ///
+    /// # Panics
+    /// If `truths` and `out` differ in length.
+    pub(crate) fn read_row(
+        &self,
+        truths: &[f64],
+        run: impl Fn(usize) -> usize,
+        out: &mut [f64],
+    ) -> u64 {
+        assert_eq!(truths.len(), out.len(), "read_row: one output per true count");
         if self.model.is_exact() {
-            return settled;
-        }
-        if truth.to_bits() == 0 {
-            match self.zero {
-                ZeroRead::Settled => return settled,
-                ZeroRead::Floor(floor) if first_uniform(&mut rng()) >= floor => return settled,
-                _ => {}
+            for (slot, &truth) in out.iter_mut().zip(truths) {
+                *slot = self.model.read_back(truth, 0.0);
             }
+            return 0;
         }
-        Reading { value: self.model.apply(truth, &mut rng()), full_draw: true }
+        let mut draws = 0;
+        // (slot in the window, first uniform, angle) of each pending draw.
+        let mut pending = [(0, 0.0, 0.0); CHUNK];
+        let windows = truths.chunks(CHUNK).zip(out.chunks_mut(CHUNK));
+        for (w, (truths, out)) in windows.enumerate() {
+            let mut n = 0;
+            for (i, (&truth, slot)) in truths.iter().zip(out.iter_mut()).enumerate() {
+                let zero = truth.to_bits() == 0;
+                if zero && matches!(self.zero, ZeroRead::Settled) {
+                    *slot = 0.0;
+                    continue;
+                }
+                let mut rng = event_rng(self.seed, self.event, run(w * CHUNK + i));
+                let u = first_uniform(&mut rng);
+                if zero && matches!(self.zero, ZeroRead::Floor(floor) if u >= floor) {
+                    *slot = 0.0;
+                    continue;
+                }
+                pending[n] = (i, u, angle(&mut rng));
+                n += 1;
+            }
+            for &(i, u, v) in &pending[..n] {
+                out[i] = self.model.read_back(truths[i], box_muller(u, v));
+            }
+            draws += n as u64;
+        }
+        draws
     }
 }
 
-/// One read-back through [`EventNoise::observe`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Reading {
-    /// The value read back.
-    pub value: f64,
-    /// Whether the read ran the full transform of [`NoiseModel::apply`],
-    /// rather than settling from the model, the count and at most the
-    /// first uniform.
-    pub full_draw: bool,
-}
-
 /// How far below 1 a skipped multiplicative draw keeps `|sigma * g|`
-/// squared (see [`EventNoise::observe`]).
+/// squared (see [`EventNoise::read_row`]).
 const ZERO_MARGIN: f64 = 1.0 / 1024.0;
 
 /// A first uniform at or above which `Multiplicative { sigma }` reads a
@@ -180,12 +218,22 @@ fn first_uniform(rng: &mut impl Rng) -> f64 {
     rng.gen_range(f64::MIN_POSITIVE..1.0)
 }
 
+/// The second uniform of a [`gaussian`] draw: the angle `v`.
+fn angle(rng: &mut impl Rng) -> f64 {
+    rng.gen_range(0.0..std::f64::consts::TAU)
+}
+
+/// Box–Muller: the standard normal of uniforms `u` and `v` (see
+/// [`first_uniform`] and [`angle`]).
+fn box_muller(u: f64, v: f64) -> f64 {
+    (-2.0 * u.ln()).sqrt() * v.cos()
+}
+
 /// Standard normal via Box–Muller (rand_distr is deliberately not a
 /// dependency).
 pub fn gaussian(rng: &mut impl Rng) -> f64 {
     let u = first_uniform(rng);
-    let v: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-    (-2.0 * u.ln()).sqrt() * v.cos()
+    box_muller(u, angle(rng))
 }
 
 /// A deterministic per-(event, run) RNG stream.
@@ -317,36 +365,62 @@ mod tests {
             NoiseModel::Unrelated { mean: 50.0, spread: 3.0 },
         ];
         let counts = [0.0, -0.0, 1.0, 123.5, -7.0, 1e12, f64::NAN];
-        let random = (0..4_000u64).map(|t| (t * 0x9E37, (t % 97) as usize, (t * 31) as usize));
-        let rare = LOW_FIRST_UNIFORM.iter().map(|&seed| (seed, 0, 0));
-        let triples: Vec<(u64, usize, usize)> = random.chain(rare).collect();
+        // Rows `(seed, event, [(count index, run)])` of every length around
+        // the window edges, each mixing all the counts.
+        let lengths = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1];
+        let mut rows: Vec<_> = (0..72)
+            .map(|r| {
+                let reads =
+                    (0..lengths[r % lengths.len()]).map(|i| ((r + i) % 7, (r * 1000 + i) * 31));
+                (r as u64 * 0x9E37, r % 97, reads.collect::<Vec<_>>())
+            })
+            .collect();
+        // The searched triples read a `+0.0` count at every window edge.
+        let edges = [0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK];
+        for seed in LOW_FIRST_UNIFORM {
+            let read = |i| if edges.contains(&i) { (0, 0) } else { (i % 7, i * 31 + 1) };
+            rows.push((seed, 0, (0..=2 * CHUNK).map(read).collect()));
+        }
+        let reads: usize = rows.iter().map(|(.., row)| row.len()).sum();
         let mut checked = 0;
         for model in models {
-            for truth in counts {
-                let (mut settled, mut drawn) = (0, 0);
-                for &(seed, event, run) in &triples {
+            // Per count: the reads that settle and draw as rows of one.
+            let mut tally = [(0, 0); 7];
+            for (seed, event, row) in &rows {
+                let (seed, event) = (*seed, *event);
+                let noise = model.for_event(seed, event);
+                let truths: Vec<f64> = row.iter().map(|&(c, _)| counts[c]).collect();
+                let mut got = vec![-1.0; row.len()];
+                let draws = noise.read_row(&truths, |i| row[i].1, &mut got);
+                let mut classified = 0;
+                for (i, &(c, run)) in row.iter().enumerate() {
+                    let truth = counts[c];
                     let at = format!("{model:?} on {truth}: seed {seed}, event {event}, run {run}");
                     let want = model.apply(truth, &mut event_rng(seed, event, run));
-                    let got = model.for_event(seed, event).observe(truth, run);
-                    assert_eq!(got.value.to_bits(), want.to_bits(), "{at}");
+                    assert_eq!(got[i].to_bits(), want.to_bits(), "{at}: read {i} of {}", row.len());
+                    let mut one = [-1.0];
+                    let drawn = noise.read_row(&[truth], |_| run, &mut one);
+                    assert_eq!(one[0].to_bits(), want.to_bits(), "{at}: row of one");
                     // A settled multiplicative read must not matter even
                     // before the clamp, whose choice between `-0.0` and
                     // `+0.0` can vary with code generation.
                     if let NoiseModel::Multiplicative { sigma } = model {
-                        if !got.full_draw {
+                        if drawn == 0 {
                             let g = gaussian(&mut event_rng(seed, event, run));
                             let raw = truth * (1.0 + sigma * g);
-                            assert_eq!(raw.to_bits(), got.value.to_bits(), "{at}: unclamped");
+                            assert_eq!(raw.to_bits(), want.to_bits(), "{at}: unclamped");
                         }
                     }
-                    if got.full_draw {
-                        drawn += 1;
-                    } else {
-                        settled += 1;
-                    }
+                    let (settled, full) = &mut tally[c];
+                    *settled += usize::from(drawn == 0);
+                    *full += drawn as usize;
+                    classified += drawn;
                     checked += 1;
                 }
-                // Which reads settle without the full transform.
+                assert_eq!(draws, classified, "{model:?}: row of {} reads", row.len());
+            }
+            // Which reads settle without the full transform.
+            for (&truth, &(settled, drawn)) in counts.iter().zip(&tally) {
                 let at = format!("{model:?} on {truth}");
                 match model {
                     NoiseModel::None => assert_eq!(drawn, 0, "{at}"),
@@ -357,8 +431,12 @@ mod tests {
                         } else if s < 0.849 {
                             // The searched triples fall through, the rest
                             // nearly all settle.
-                            assert!(drawn >= LOW_FIRST_UNIFORM.len(), "{at}: {drawn} drawn");
-                            assert!(settled >= triples.len() * 9 / 10, "{at}: {settled} settled");
+                            let rare = LOW_FIRST_UNIFORM.len() * edges.len();
+                            assert!(drawn >= rare, "{at}: {drawn} drawn");
+                            assert!(
+                                settled >= (settled + drawn) * 9 / 10,
+                                "{at}: {settled} settled"
+                            );
                         } else {
                             assert_eq!(settled, 0, "{at}");
                         }
@@ -367,7 +445,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(checked, models.len() * counts.len() * triples.len());
+        assert_eq!(checked, models.len() * reads);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::cpu::ExecStats;
 use crate::events_cpu::{CpuBase, CpuEventDef, CpuEventSet};
 use crate::gpu::{GpuEventDef, GpuEventSet, GpuStats};
-use crate::noise::Reading;
+use crate::noise::EventNoise;
 use catalyze_events::EventId;
 use serde::{Deserialize, Serialize};
 
@@ -70,7 +70,10 @@ impl PmuConfig {
     }
 }
 
-/// CPU-side PMU bound to an event inventory.
+/// The PMU: schedules CPU events onto counter groups and reads CPU and GPU
+/// events back. Every read goes through a [`RowReader`], which reads a
+/// whole row of one event's counts at once; [`CpuPmu::read_cpu`] and
+/// [`CpuPmu::read_gpu`] read rows of one.
 #[derive(Debug, Clone)]
 pub struct CpuPmu {
     cfg: PmuConfig,
@@ -143,7 +146,8 @@ impl CpuPmu {
     ///
     /// Events are read in multiplexed groups of `cfg.counters`; the group
     /// index perturbs the noise stream exactly as re-running the workload
-    /// would on real hardware.
+    /// would on real hardware. Each event is a row of one read through its
+    /// [`CpuPmu::cpu_reader`].
     pub fn read_cpu(
         &self,
         set: &CpuEventSet,
@@ -158,42 +162,29 @@ impl CpuPmu {
             .map(|(&id, group)| {
                 // lint: allow(panic): ids were validated when the schedule was built
                 let def = set.def(id).expect("validated by schedule");
-                self.cpu_reader(def, id, group)(def.true_count(stats), run).value
+                self.cpu_reader(def, id, group).read_one(def.true_count(stats), run)
             })
             .collect()
     }
 
     /// How CPU event `id` (definition `def`) in counter group `group` reads
-    /// back: `read(truth, run)` is its read-back with true count `truth` in
-    /// repetition `run`, whose value is what [`CpuPmu::read_cpu`] reports.
-    /// Lets a sweep evaluate each true count once and build one reader per
-    /// row of reads.
-    pub fn cpu_reader(
-        &self,
-        def: &CpuEventDef,
-        id: EventId,
-        group: usize,
-    ) -> impl Fn(f64, usize) -> Reading {
-        let noise = def.noise.for_event(self.cfg.seed, id.index());
-        move |truth, run| noise.observe(truth, run * 1_000_003 + group)
+    /// back, a row at a time: what [`CpuPmu::read_cpu`] reports for it in
+    /// each repetition. Lets a sweep evaluate each true count once and
+    /// build one reader per row of reads.
+    pub fn cpu_reader(&self, def: &CpuEventDef, id: EventId, group: usize) -> RowReader {
+        RowReader { noise: def.noise.for_event(self.cfg.seed, id.index()), group }
     }
 
     /// How GPU event `id` (definition `def`) at position `pos` of the read
-    /// list reads back: `read(truth, run)` is its read-back with true count
-    /// `truth` in repetition `run`, whose value is what
-    /// [`CpuPmu::read_gpu`] reports.
-    pub fn gpu_reader(
-        &self,
-        def: &GpuEventDef,
-        id: EventId,
-        pos: usize,
-    ) -> impl Fn(f64, usize) -> Reading {
+    /// list reads back, a row at a time: what [`CpuPmu::read_gpu`] reports
+    /// for it in each repetition.
+    pub fn gpu_reader(&self, def: &GpuEventDef, id: EventId, pos: usize) -> RowReader {
         let group = pos / self.cfg.counters.max(1);
-        let noise = def.noise.for_event(self.cfg.seed ^ 0x6770, id.index());
-        move |truth, run| noise.observe(truth, run * 1_000_003 + group)
+        RowReader { noise: def.noise.for_event(self.cfg.seed ^ 0x6770, id.index()), group }
     }
 
-    /// Reads GPU `events` against per-device statistics.
+    /// Reads GPU `events` against per-device statistics, each as a row of
+    /// one read through its [`CpuPmu::gpu_reader`].
     pub fn read_gpu(
         &self,
         set: &GpuEventSet,
@@ -210,9 +201,38 @@ impl CpuPmu {
                     // lint: allow(panic): scheduling an id outside the event set is a programming error
                     .unwrap_or_else(|| panic!("unknown GPU event id {}", id.index()));
                 let truth = set.true_count(id, devices).unwrap_or(0.0);
-                self.gpu_reader(def, id, pos)(truth, run).value
+                self.gpu_reader(def, id, pos).read_one(truth, run)
             })
             .collect()
+    }
+}
+
+/// One event's read-back in its counter group (see [`CpuPmu::cpu_reader`]
+/// and [`CpuPmu::gpu_reader`]): repetition `run` reads under noise run key
+/// `run * 1_000_003 + group`.
+#[derive(Debug, Clone, Copy)]
+pub struct RowReader {
+    noise: EventNoise,
+    group: usize,
+}
+
+impl RowReader {
+    /// Reads a row: `out[i]` becomes the read-back of true count
+    /// `truths[i]` in repetition `run(i)`. Returns how many reads ran the
+    /// full noise transform, rather than settling from the noise model, the
+    /// count and at most the first uniform of its stream.
+    ///
+    /// # Panics
+    /// If `truths` and `out` differ in length.
+    pub fn read(&self, truths: &[f64], run: impl Fn(usize) -> usize, out: &mut [f64]) -> u64 {
+        self.noise.read_row(truths, |i| run(i) * 1_000_003 + self.group, out)
+    }
+
+    /// The read-back of one true count in repetition `run`: a row of one.
+    fn read_one(&self, truth: f64, run: usize) -> f64 {
+        let mut value = [0.0];
+        self.read(&[truth], |_| run, &mut value);
+        value[0]
     }
 }
 
