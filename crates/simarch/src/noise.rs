@@ -85,10 +85,8 @@ impl NoiseModel {
 }
 
 /// A [`NoiseModel`] bound to one event's noise streams (see
-/// [`NoiseModel::for_event`]). [`EventNoise::read_row`] reads a row of
-/// counts in two phases: the first seeds each read's stream and draws its
-/// uniforms, the second runs Box–Muller and the model's formula over the
-/// reads that need them.
+/// [`NoiseModel::for_event`]), which reads rows of counts in two phases
+/// with [`EventNoise::read_row`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EventNoise {
     model: NoiseModel,
